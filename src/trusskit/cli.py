@@ -324,28 +324,49 @@ def _cmd_bench(cfg, G, out):
     return EXIT_OK
 
 
+def _dispatch(cfg: RunConfig, out) -> int:
+    if cfg.command == "generate":
+        return _cmd_generate(cfg, out)
+    G = _read_graph(cfg)
+    handler = {
+        "stats": _cmd_stats,
+        "triangles": _cmd_triangles,
+        "truss": _cmd_truss,
+        "truncated-truss": _cmd_truncated,
+        "components": _cmd_components,
+        "verify": _cmd_verify,
+        "bench": _cmd_bench,
+    }[cfg.command]
+    return handler(cfg, G, out)
+
+
 def run(cfg: RunConfig) -> int:
-    if cfg.output_path:
-        out = open(cfg.output_path, "w")
-    else:
-        out = sys.stdout
+    """Run one subcommand, writing its result to stdout or ``-o``.
+
+    A regular ``-o`` file is only replaced once the subcommand has
+    finished: output streams into a temporary file beside it, which is
+    renamed onto the target when a result was written and removed when the
+    run raised, so a failed run leaves any previous file untouched.
+    Targets that cannot be renamed onto (a pipe, a terminal, /dev/null)
+    are written in place.
+    """
+    path = cfg.output_path
+    if not path:
+        return _dispatch(cfg, sys.stdout)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as out:
+            return _dispatch(cfg, out)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    out = open(tmp, "x")
     try:
-        if cfg.command == "generate":
-            return _cmd_generate(cfg, out)
-        G = _read_graph(cfg)
-        handler = {
-            "stats": _cmd_stats,
-            "triangles": _cmd_triangles,
-            "truss": _cmd_truss,
-            "truncated-truss": _cmd_truncated,
-            "components": _cmd_components,
-            "verify": _cmd_verify,
-            "bench": _cmd_bench,
-        }[cfg.command]
-        return handler(cfg, G, out)
-    finally:
-        if cfg.output_path:
-            out.close()
+        with out:
+            code = _dispatch(cfg, out)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+    return code
 
 
 def main(argv=None) -> int:

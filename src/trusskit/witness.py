@@ -10,6 +10,14 @@ output exact (and therefore seed-independent) when the row misses some.
 Removing an edge subtracts the vanished endpoints' ids from the affected
 rows, keeping the table consistent without recomputation.
 
+Direct initialization intersects each edge's endpoint neighbor sets (a
+scan of the smaller-degree side, as in triangle counting) and streams the
+(edge, witness) pairs through a fixed-size buffer; each flush adds every
+witness id to its edge's entries for the sets holding it. That is
+O(m * avg degeneracy + 3T * q * L) expected work for T triangles, with no
+dense adjacency matrix. ``init_witness`` refuses up front a configuration
+whose estimated footprint, every array init allocates, exceeds the cap.
+
 The state is single-threaded and mutable; the underlying Graph is shared
 read-only.
 """
@@ -23,11 +31,13 @@ import numpy as np
 
 from .graphs import Graph, ValidationError
 from .peel import REMOVED, TrussLabels
+from .triangles import ordered_endpoints
 
 DEFAULT_SEED = 1729
-DEFAULT_MEM_CAP = 4 * 2**30  # bytes of witness table the CLI will allocate
+DEFAULT_MEM_CAP = 4 * 2**30  # bytes init_witness may allocate in the CLI
 
-_INIT_CHUNK = 2048  # edge rows per vectorized chunk during direct init
+_INIT_CHUNK = 1024  # (edge, witness) pairs buffered per flush during direct init
+_INIT_MODES = ("direct", "matrix")
 
 
 class ResourceLimitError(Exception):
@@ -71,7 +81,7 @@ class EnumerationOutcome:
 class WitnessState:
     """Mutable decomposition state: random sets, witness table, counts."""
 
-    def __init__(self, G, cfg, L, q, a, b, xmat, S, delta, heavy):
+    def __init__(self, G, cfg, L, q, a, b, xmat, sets, S, delta, heavy, mem_estimate):
         self.G = G
         self.cfg = cfg
         self.L = L
@@ -79,10 +89,11 @@ class WitnessState:
         self.a = a
         self.b = b
         self.xmat = xmat  # (n+1, L) bool; row 0 all False
-        self.sets = [np.flatnonzero(xmat[v]) for v in range(G.n + 1)]
+        self.sets = sets  # sets[v] = indices l with v in X_l
         self.S = S  # (m, L) int64
         self.delta = delta  # (m,) int64, REMOVED sentinel
         self.heavy = heavy  # (n+1,) bool
+        self.mem_estimate = mem_estimate  # bytes; upper bound on init's peak
         self._stamp = np.zeros(G.n + 1, dtype=np.int64)
         self._tick = 0
         self.enumeration_calls = 0
@@ -104,6 +115,8 @@ def _resolve(G: Graph, cfg: WitnessConfig) -> tuple[int, float, float, float]:
     k = cfg.k_trunc
     if k < 1:
         raise ValidationError("k_trunc must be positive")
+    if cfg.init_mode not in _INIT_MODES:
+        raise ValidationError(f"unknown init_mode {cfg.init_mode!r}")
     if k > _truncation_cap(m):
         raise ValidationError(
             f"k_trunc={k} exceeds ceil(sqrt(2m))={_truncation_cap(m)} for m={m}"
@@ -123,28 +136,61 @@ def _resolve(G: Graph, cfg: WitnessConfig) -> tuple[int, float, float, float]:
     b = cfg.b if cfg.b is not None else max(a, 2.0 / 3.0)
     if not (a - 1e-12 <= b <= 1.0 + 1e-12):
         raise ValidationError(f"b={b} outside [a, 1] with a={a:.4f}")
-    needed = m * L * 8 + (n + 1) * L
-    if needed > cfg.mem_cap_bytes:
-        raise ResourceLimitError(
-            f"witness table needs ~{needed} bytes ({m} edges x {L} sets), "
-            f"over the {cfg.mem_cap_bytes}-byte cap; raise --mem-cap or "
-            "lower k_trunc / --sets"
-        )
     return L, q, a, b
+
+
+def _footprint(G: Graph, L: int, degrees: np.ndarray, heavy: np.ndarray, mode: str) -> int:
+    """Upper bound in bytes on what init_witness allocates, as tracemalloc
+    counts it (array data plus object and slot overheads).
+
+    Always: per vertex the bool membership and the membership lists (9L
+    at q = 1; the float64 draw, 8L, is freed before the lists exist) and
+    small arrays; per edge the table row and count. Direct mode: neighbor sets (<= 128 bytes per entry), one
+    common-neighbor set, and a buffer of at most _INIT_CHUNK + max-degree
+    pairs, each with list and index bookkeeping and, per set holding its
+    witness, six int64 temporaries. Matrix mode: five float64 h x h arrays
+    for h heavy vertices and index lists over the heavy-heavy edges.
+    """
+    n1, m = G.n + 1, G.m
+    total = 9 * n1 * L + 160 * n1 + 8 * m * L + 8 * m + 65536
+    if mode == "direct":
+        dmax = int(degrees.max())
+        pairs = min(_INIT_CHUNK + dmax, m * dmax)
+        total += 216 * n1 + 256 * m + 128 * dmax + pairs * (48 * L + 160)
+    else:
+        h = int(np.count_nonzero(heavy))
+        total += 40 * h * h + 160 * min(m, h * (h - 1) // 2) + 256 * h
+    return total
 
 
 def init_witness(G: Graph, cfg: WitnessConfig, _xmat=None) -> WitnessState:
     """Sample the random sets and build exact tables for the full graph.
 
-    Direct mode derives each row from the edge's common-neighbor set;
-    matrix mode splits vertices into heavy and light at degree m^(1-b),
-    finds triangles with a light vertex by scanning light vertices' edge
-    pairs, and heavy-only triangles through classical (cubic) integer
-    matrix products on the heavy subgraph. Both produce identical tables.
-    ``_xmat`` injects explicit membership for tests.
+    Direct mode intersects each edge's endpoint neighbor sets and adds
+    every common neighbor's id to the row entries of the sets holding it,
+    never forming a dense adjacency matrix. Matrix mode splits vertices
+    into heavy and light at degree m^(1-b), finds triangles with a light
+    vertex by scanning light vertices' edge pairs, and heavy-only
+    triangles through classical (cubic) matrix products on the heavy x
+    heavy block, built from the heavy vertices' adjacency lists. Both
+    produce identical tables.
+
+    Raises ResourceLimitError, before allocating, when the ``_footprint``
+    estimate (all of init, not just the table) exceeds
+    ``cfg.mem_cap_bytes``; the returned state keeps it as
+    ``mem_estimate``. ``_xmat`` injects explicit membership for tests.
     """
     L, q, a, b = _resolve(G, cfg)
     n, m = G.n, G.m
+    degrees = np.fromiter(map(len, G.adj), dtype=np.int64, count=n + 1)
+    heavy = degrees > m ** (1.0 - b)
+    needed = _footprint(G, L, degrees, heavy, cfg.init_mode)
+    if needed > cfg.mem_cap_bytes:
+        raise ResourceLimitError(
+            f"witness init needs ~{needed} bytes ({m} edges x {L} sets, "
+            f"{cfg.init_mode} init), over the {cfg.mem_cap_bytes}-byte cap; "
+            "raise --mem-cap or lower k_trunc / --sets"
+        )
     if _xmat is not None:
         xmat = np.asarray(_xmat, dtype=bool)
         if xmat.shape != (n + 1, L):
@@ -154,56 +200,66 @@ def init_witness(G: Graph, cfg: WitnessConfig, _xmat=None) -> WitnessState:
         rng = np.random.default_rng(cfg.seed)
         xmat = rng.random((n + 1, L)) < q
     xmat[0] = False
-    thresh = m ** (1.0 - b)
-    heavy = np.zeros(n + 1, dtype=bool)
-    for v in G.vertices:
-        heavy[v] = G.degree(v) > thresh
+    # memberships in vertex order: the sets holding v are
+    # set_ids[indptr[v]:indptr[v + 1]]
+    set_ids = np.flatnonzero(xmat)
+    set_ids %= L
+    indptr = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.count_nonzero(xmat, axis=1), out=indptr[1:])
+    sets = np.split(set_ids, indptr[1:-1])
     if cfg.init_mode == "direct":
-        S, delta = _init_direct(G, xmat)
-    elif cfg.init_mode == "matrix":
-        S, delta = _init_matrix(G, xmat, heavy)
+        S, delta = _init_direct(G, indptr, set_ids, L)
     else:
-        raise ValidationError(f"unknown init_mode {cfg.init_mode!r}")
-    return WitnessState(G, cfg, L, q, a, b, xmat, S, delta, heavy)
+        S, delta = _init_matrix(G, xmat, sets, heavy)
+    return WitnessState(G, cfg, L, q, a, b, xmat, sets, S, delta, heavy, needed)
 
 
-def _adjacency_bool(G: Graph) -> np.ndarray:
-    A = np.zeros((G.n + 1, G.n + 1), dtype=bool)
-    for v in G.vertices:
-        nbrs = G.adj[v]
-        if nbrs:
-            A[v, list(nbrs)] = True
-    return A
-
-
-def _init_direct(G: Graph, xmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n, m, L = G.n, G.m, xmat.shape[1]
+def _init_direct(
+    G: Graph, indptr: np.ndarray, set_ids: np.ndarray, L: int
+) -> tuple[np.ndarray, np.ndarray]:
+    m = G.m
     S = np.zeros((m, L), dtype=np.int64)
     delta = np.zeros(m, dtype=np.int64)
-    if m == 0:
-        return S, delta
-    A = _adjacency_bool(G)
-    ids = np.arange(n + 1, dtype=np.float64)
-    xf = xmat.astype(np.float64)
-    us = np.fromiter((u for u, _ in G.edges), dtype=np.int64, count=m)
-    vs = np.fromiter((v for _, v in G.edges), dtype=np.int64, count=m)
-    for lo in range(0, m, _INIT_CHUNK):
-        hi = min(lo + _INIT_CHUNK, m)
-        common = A[us[lo:hi]] & A[vs[lo:hi]]  # per-edge neighborhood intersection
-        delta[lo:hi] = common.sum(axis=1)
-        S[lo:hi] = np.rint((common * ids) @ xf).astype(np.int64)
+    nbrs = [set(a) for a in G.adj]
+    es: list[int] = []
+    ws: list[int] = []  # ws[i] is a common neighbor of the endpoints of edge es[i]
+    for e, (u, v) in enumerate(G.edges):
+        common = nbrs[u] & nbrs[v]  # iterates the smaller set, probes the other
+        if common:
+            es.extend([e] * len(common))
+            ws.extend(common)
+            if len(es) >= _INIT_CHUNK:
+                _flush_pairs(S, delta, indptr, set_ids, es, ws)
+                es.clear()
+                ws.clear()
+    if es:
+        _flush_pairs(S, delta, indptr, set_ids, es, ws)
     return S, delta
 
 
+def _flush_pairs(S, delta, indptr, set_ids, es, ws) -> None:
+    """Fold buffered (edge e, witness w) pairs into the counts and the
+    table: delta[e] += 1, and S[e, l] += w for every set X_l holding w."""
+    E = np.array(es, dtype=np.int64)
+    W = np.array(ws, dtype=np.int64)
+    np.add.at(delta, E, 1)
+    lo = indptr[W]
+    lens = indptr[W + 1] - lo
+    ends = np.cumsum(lens)
+    # positions in set_ids of every pair's memberships, pair after pair
+    pos = np.arange(ends[-1]) + np.repeat(lo - (ends - lens), lens)
+    flat = np.repeat(E * S.shape[1], lens) + set_ids[pos]
+    np.add.at(S.reshape(-1), flat, np.repeat(W, lens))
+
+
 def _init_matrix(
-    G: Graph, xmat: np.ndarray, heavy: np.ndarray
+    G: Graph, xmat: np.ndarray, sets: list[np.ndarray], heavy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    n, m, L = G.n, G.m, xmat.shape[1]
+    m, L = G.m, xmat.shape[1]
     S = np.zeros((m, L), dtype=np.int64)
     delta = np.zeros(m, dtype=np.int64)
     if m == 0:
         return S, delta
-    sets = [np.flatnonzero(xmat[v]) for v in range(n + 1)]
     eid = G.edge_id
     # triangles with at least one light vertex: loop light vertices over
     # incident edge pairs, handling each triangle at its smallest light vertex
@@ -231,28 +287,27 @@ def _init_matrix(
                 S[e_uv, sets[w]] += w
                 S[e_uw, sets[v]] += v
                 S[e_vw, sets[u]] += u
-    # heavy-only triangles via products on the heavy subgraph
-    hv = np.flatnonzero(heavy)
-    if hv.size:
+    # heavy-only triangles via products on the heavy x heavy block
+    hh_edges = [e for e, (u, v) in enumerate(G.edges) if heavy[u] and heavy[v]]
+    if hh_edges:
+        hv = np.flatnonzero(heavy)
         pos = {int(v): i for i, v in enumerate(hv)}
-        Ah = _adjacency_bool(G)[np.ix_(hv, hv)].astype(np.float64)
-        hh_edges = [
-            e for e, (u, v) in enumerate(G.edges) if heavy[u] and heavy[v]
-        ]
-        if hh_edges:
-            iu = np.array([pos[G.edges[e][0]] for e in hh_edges])
-            iv = np.array([pos[G.edges[e][1]] for e in hh_edges])
-            counts = Ah @ Ah.T
-            delta[hh_edges] += np.rint(counts[iu, iv]).astype(np.int64)
-            ids_h = hv.astype(np.float64)
-            for ell in range(L):
-                cols = np.flatnonzero(xmat[hv, ell])
-                if cols.size == 0:
-                    continue
-                B = Ah[:, cols]
-                Bw = B * ids_h[cols]  # weight columns by the witness id
-                contrib = B @ Bw.T
-                S[hh_edges, ell] += np.rint(contrib[iu, iv]).astype(np.int64)
+        Ah = np.zeros((hv.size, hv.size))
+        for i, v in enumerate(hv.tolist()):
+            Ah[i, [pos[w] for w in G.adj[v] if w in pos]] = 1.0
+        iu = np.array([pos[G.edges[e][0]] for e in hh_edges])
+        iv = np.array([pos[G.edges[e][1]] for e in hh_edges])
+        counts = Ah @ Ah.T
+        delta[hh_edges] += np.rint(counts[iu, iv]).astype(np.int64)
+        ids_h = hv.astype(np.float64)
+        for ell in range(L):
+            cols = np.flatnonzero(xmat[hv, ell])
+            if cols.size == 0:
+                continue
+            B = Ah[:, cols]
+            Bw = B * ids_h[cols]  # weight columns by the witness id
+            contrib = B @ Bw.T
+            S[hh_edges, ell] += np.rint(contrib[iu, iv]).astype(np.int64)
     return S, delta
 
 
@@ -262,7 +317,8 @@ def enumerate_residual(state: WitnessState, e: int) -> EnumerationOutcome:
     The primary pass scans the witness row: any entry that is a valid
     vertex id and passes the residual-edge test for both endpoints is a
     confirmed witness. If the row does not account for every residual
-    triangle, a full vertex scan recovers the exact set.
+    triangle, a scan of the smaller-degree endpoint's adjacency recovers
+    the exact set.
     """
     delta = state.delta
     if delta[e] == REMOVED:
@@ -299,14 +355,12 @@ def enumerate_residual(state: WitnessState, e: int) -> EnumerationOutcome:
                 break
     if len(witnesses) < target:
         state.fallback_calls += 1
+        a, b = ordered_endpoints(G, e)
         witnesses = []
-        for w in range(1, n + 1):
-            if w == u or w == v:
+        for w in G.adj[a]:
+            if w == b or delta[eid(a, w)] == REMOVED:
                 continue
-            f1 = eid(u, w)
-            if f1 is None or delta[f1] == REMOVED:
-                continue
-            f2 = eid(v, w)
+            f2 = eid(b, w)
             if f2 is None or delta[f2] == REMOVED:
                 continue
             witnesses.append(w)

@@ -1,14 +1,17 @@
 """Command-line surface: formats, exit codes, determinism, pipelines."""
 
+import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 
-from trusskit import clique_chain
+from trusskit import WitnessConfig, clique_chain, gnp_random, init_witness
 from trusskit.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_RESOURCE,
     EXIT_VALIDATION,
     EXIT_VERIFY_FAILED,
     main,
@@ -146,6 +149,29 @@ def test_parse_error_exit_code(tmp_path):
     assert code == EXIT_PARSE
 
 
+def test_failed_run_leaves_output_file_untouched(tmp_path):
+    bad = "1 2\n2 3 4\n"
+    code, _ = run_cli(["truss"], tmp_path, bad)
+    assert code == EXIT_PARSE
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt"]
+    previous = b"earlier result\r\n\x00"
+    (tmp_path / "out.txt").write_bytes(previous)
+    code, _ = run_cli(["truss"], tmp_path, bad)
+    assert code == EXIT_PARSE
+    assert (tmp_path / "out.txt").read_bytes() == previous
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "out.txt"]
+    # a run that completes replaces it
+    code, out = run_cli(["truss"], tmp_path, k5_text())
+    assert code == EXIT_OK and len(out.splitlines()) == 10
+
+
+def test_output_to_device_written_in_place(tmp_path):
+    in_file = tmp_path / "k5.txt"
+    in_file.write_text(k5_text())
+    assert main(["-i", str(in_file), "-o", os.devnull, "truss"]) == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k5.txt"]
+
+
 def test_self_loop_exit_code(tmp_path):
     code, _ = run_cli(["truss"], tmp_path, "1 1\n")
     assert code == EXIT_VALIDATION
@@ -199,6 +225,25 @@ def test_mem_cap_env_override(tmp_path, monkeypatch):
         k5_text(),
     )
     assert code == EXIT_OK and out
+
+
+def test_mem_cap_covers_more_than_the_table(tmp_path):
+    g = gnp_random(60, 0.3, seed=5)
+    tracemalloc.start()
+    try:
+        state = init_witness(g, WitnessConfig(k_trunc=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_only = g.m * state.L * 8 + (g.n + 1) * state.L
+    cap = (table_only + peak) // 2
+    assert table_only < cap < peak
+    code, out = run_cli(
+        ["truncated-truss", "--k-trunc", "3", "--mem-cap", str(cap)],
+        tmp_path,
+        g.serialize(),
+    )
+    assert code == EXIT_RESOURCE and out == ""
 
 
 def test_module_entry_point(tmp_path):

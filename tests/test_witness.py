@@ -1,6 +1,7 @@
 """Witness-table structure: initialization, enumeration, dynamic updates."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -18,7 +19,11 @@ from trusskit import (
     truncated_decomposition,
     truss_decomposition,
 )
-from trusskit.witness import _truncation_cap, instrumented_truncated_decomposition
+from trusskit.witness import (
+    _run_rounds,
+    _truncation_cap,
+    instrumented_truncated_decomposition,
+)
 
 from .oracles import residual_common_neighbors, scratch_witness_table
 
@@ -29,6 +34,19 @@ def complete(n):
 
 def bowtie():
     return from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])
+
+
+def skewed(n, m, seed):
+    """Chung-Lu-style graph: endpoints drawn with weight rank^-0.6, so a
+    few hubs carry most triangles."""
+    rng = np.random.default_rng(seed)
+    w = np.arange(1, n + 1) ** -0.6
+    ends = rng.choice(n, size=(4 * m, 2), p=w / w.sum()) + 1
+    pairs = {}
+    for u, v in ends.tolist():
+        if u != v:
+            pairs.setdefault((min(u, v), max(u, v)), None)
+    return from_edges(n, list(pairs)[:m])
 
 
 # -- configuration ------------------------------------------------------------
@@ -46,6 +64,38 @@ def test_memory_cap_refusal_mentions_sizes():
     g = complete(6)
     with pytest.raises(ResourceLimitError, match="cap"):
         init_witness(g, WitnessConfig(k_trunc=2, mem_cap_bytes=100))
+
+
+@pytest.mark.parametrize("mode", ["direct", "matrix"])
+@pytest.mark.parametrize(
+    "g",
+    [
+        skewed(400, 3000, seed=4),
+        complete(40),
+        from_edges(300, [(1, i) for i in range(2, 301)]),
+        gnp_random(80, 0.2, seed=6),
+    ],
+    ids=["skewed", "K40", "star", "gnp"],
+)
+def test_init_peak_within_mem_estimate(g, mode):
+    for prob in (None, 1.0):  # q = 1 puts every vertex in every set
+        tracemalloc.start()
+        try:
+            state = init_witness(
+                g, WitnessConfig(k_trunc=3, seed=2, prob=prob, init_mode=mode)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= state.mem_estimate, prob
+        with pytest.raises(ResourceLimitError):
+            init_witness(
+                g,
+                WitnessConfig(
+                    k_trunc=3, prob=prob, init_mode=mode,
+                    mem_cap_bytes=state.mem_estimate - 1,
+                ),
+            )
 
 
 def test_bad_probability_rejected():
@@ -149,6 +199,20 @@ def test_adversarial_sum_rejected_then_fallback():
     assert out.candidates_tested == 1
     assert sorted(out.witnesses) == [1, 2]
     assert 3 not in out.witnesses
+
+
+def test_fallback_scan_alone_gives_clamped_labels():
+    # with every set empty each row is all zeros, so every enumeration that
+    # has residual triangles to find must get them from the fallback scan
+    for g in (gnp_random(40, 0.3, seed=3), skewed(150, 900, seed=1)):
+        full = truss_decomposition(g).tau
+        for k_trunc in (2, 3, 5):
+            empty = np.zeros((g.n + 1, 2), dtype=bool)
+            state = init_witness(g, WitnessConfig(k_trunc=k_trunc, sets=2), _xmat=empty)
+            labels = _run_rounds(state)
+            assert labels.tau == [min(t, k_trunc) for t in full]
+            assert labels.exact == [t < k_trunc for t in full]
+            assert state.fallback_calls > 0
 
 
 def test_enumerate_removed_edge_rejected():
