@@ -9,7 +9,6 @@ from .graphs import (
     DegeneracyReport,
     clustering_coefficient,
     connected_components,
-    contract,
     degeneracy,
     from_edges,
     from_pairs,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import graphs as gr
 from .graphs import Graph, ValidationError
-from .peel import TrussLabels, peel_to_fixed_point
+from .peel import TrussLabels, k_truss_components, peel_to_fixed_point
 from .triangles import TriangleCounts, triangle_counts
 
 DEFAULT_CAP = 200
@@ -296,55 +296,37 @@ def bound_report(G: Graph, labels: TrussLabels) -> BoundReport:
     max_tau = max(tau)
     A_full = _dense_adjacency(G)
     for k in range(1, max_tau + 1):
-        keep = [e for e in range(m) if tau[e] >= k]
-        if not keep:
+        # components by smallest vertex, so ties keep naming the same witness
+        comps = sorted(
+            (sorted({x for e in comp for x in G.edges[e]}), comp)
+            for comp in k_truss_components(G, k, labels)
+        )
+        if not comps:
             continue
-        # level subgraph, components via union-find on endpoints
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in keep:
-            u, v = G.edges[e]
-            parent.setdefault(u, u)
-            parent.setdefault(v, v)
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-        verts = sorted(parent)
         Ak = np.zeros_like(A_full)
-        for e in keep:
-            u, v = G.edges[e]
-            Ak[u, v] = Ak[v, u] = 1.0
+        for _, comp in comps:
+            for e in comp:
+                u, v = G.edges[e]
+                Ak[u, v] = Ak[v, u] = 1.0
         sq = Ak @ Ak
         deg_k = Ak.sum(axis=1)
-        tri_v = {v: int(round((sq[v] * Ak[v]).sum())) // 2 for v in verts}
-        comp_vertices: dict[int, list[int]] = {}
-        for v in verts:
-            comp_vertices.setdefault(find(v), []).append(v)
-        comp_edges: dict[int, list[int]] = {}
-        for e in keep:
-            comp_edges.setdefault(find(G.edges[e][0]), []).append(e)
-        for root, vs_c in comp_vertices.items():
+        for vs_c, edges_c in comps:
+            tri_v = {v: int(round((sq[v] * Ak[v]).sum())) // 2 for v in vs_c}
             n_c = len(vs_c)
-            m_c = len(comp_edges[root])
+            m_c = len(edges_c)
             # (b) component has at least k+2 vertices
             consider(
                 "component_vertex_count",
                 n_c - (k + 2),
                 f"k={k}: component has {n_c} vertices vs bound {k + 2}",
-                f"component of {_edge_name(G, comp_edges[root][0])}",
+                f"component of {_edge_name(G, edges_c[0])}",
             )
             # (f) edge count: 2 m_c >= (n_c - 1)(k + 2)
             consider(
                 "component_edge_count",
                 2 * m_c - (n_c - 1) * (k + 2),
                 f"k={k}: 2*m_c = {2 * m_c} vs (n_c-1)(k+2) = {(n_c - 1) * (k + 2)}",
-                f"component of {_edge_name(G, comp_edges[root][0])}",
+                f"component of {_edge_name(G, edges_c[0])}",
             )
             # (f) triangle count: 6 t_c >= (n_c - 1)(k + 2) k
             t_c = sum(tri_v[v] for v in vs_c) // 3
@@ -352,7 +334,7 @@ def bound_report(G: Graph, labels: TrussLabels) -> BoundReport:
                 "component_triangle_count",
                 6 * t_c - (n_c - 1) * (k + 2) * k,
                 f"k={k}: 6*t_c = {6 * t_c} vs (n_c-1)(k+2)k = {(n_c - 1) * (k + 2) * k}",
-                f"component of {_edge_name(G, comp_edges[root][0])}",
+                f"component of {_edge_name(G, edges_c[0])}",
             )
             for v in vs_c:
                 d_v = int(round(deg_k[v]))

@@ -169,7 +169,7 @@ def parse_edge_list(text: str | bytes) -> Graph:
     return from_pairs(pairs)
 
 
-# -- subgraphs and contraction --------------------------------------------
+# -- subgraphs ------------------------------------------------------------
 
 
 def induced_by_vertices(G: Graph, vertex_set: Iterable[int]) -> Graph:
@@ -202,33 +202,6 @@ def induced_by_edges(G: Graph, edge_set: Iterable[int]) -> Graph:
     remap = {old: new for new, old in enumerate(touched, start=1)}
     pairs = [(remap[G.edges[e][0]], remap[G.edges[e][1]]) for e in kept]
     return Graph([G.labels[v] for v in touched], pairs)
-
-
-def contract(G: Graph, H: Graph, g_vertex: int, h_vertex: int) -> Graph:
-    """Glue disjoint copies of G and H by identifying one vertex of each.
-
-    The result has |V(G)| + |V(H)| - 1 vertices and |E(G)| + |E(H)| edges.
-    Output vertices are relabelled 1..n (G's vertices keep their ids, H's
-    remaining vertices follow in ascending order).
-    """
-    if not (1 <= g_vertex <= G.n):
-        raise ValidationError(f"g_vertex {g_vertex} not in G")
-    if not (1 <= h_vertex <= H.n):
-        raise ValidationError(f"h_vertex {h_vertex} not in H")
-    h_map = {}
-    nxt = G.n + 1
-    for v in H.vertices:
-        if v == h_vertex:
-            h_map[v] = g_vertex
-        else:
-            h_map[v] = nxt
-            nxt += 1
-    n_out = G.n + H.n - 1
-    pairs = list(G.edges) + [(h_map[u], h_map[v]) for u, v in H.edges]
-    try:
-        return from_edges(n_out, pairs)
-    except ValidationError as exc:
-        raise ValidationError(f"contraction produced an invalid graph: {exc}") from exc
 
 
 # -- components ------------------------------------------------------------

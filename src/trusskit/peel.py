@@ -1,12 +1,16 @@
 """Truss decomposition by threshold peeling.
 
 Per edge we keep the number of triangles it still lies on in the residual
-graph (sentinel -1 once removed). A stack drives cascading removals inside
-a round; the scan list is a plain array compacted lazily by swapping dead
-entries to the end while it is being traversed, so no linked structure is
-needed. Each decomposition is a single-threaded state machine; the input
-Graph is only read, so decompositions of different graphs can run
-concurrently.
+graph (sentinel -1 once removed). One kernel, ``_peel``, runs the rounds:
+a stack drives cascading removals inside a round, and the scan list is a
+plain array compacted lazily by swapping dead entries to the end while it
+is being traversed, so no linked structure is needed. The kernel is given
+the removal step that finds the triangles through a removed edge: here a
+scan of the smaller-degree endpoint's adjacency, which the exact
+decomposition and ``peel_to_fixed_point`` share; the truncated
+decomposition in ``witness`` passes one that reads the witness table.
+Each decomposition is a single-threaded state machine; the input Graph is
+only read, so decompositions of different graphs can run concurrently.
 """
 
 from __future__ import annotations
@@ -53,108 +57,127 @@ class PeelStats:
     removal_steps: int = 0
 
 
-def truss_decomposition(
-    G: Graph, *, zero_shortcut: bool = True, check_invariants: bool = False
-) -> TrussLabels:
-    labels, _ = instrumented_truss_decomposition(
-        G, zero_shortcut=zero_shortcut, check_invariants=check_invariants
-    )
+def truss_decomposition(G: Graph, *, check_invariants: bool = False) -> TrussLabels:
+    labels, _ = instrumented_truss_decomposition(G, check_invariants=check_invariants)
     return labels
 
 
 def instrumented_truss_decomposition(
-    G: Graph, *, zero_shortcut: bool = True, check_invariants: bool = False
+    G: Graph, *, check_invariants: bool = False
 ) -> tuple[TrussLabels, PeelStats]:
     """Compute exact tau(e) for every edge, with work counters.
 
-    Runs rounds k = 1, 2, ... removing every edge whose residual triangle
-    count drops below k; an edge removed in round k has tau = k - 1. The
-    round counter never needs to pass sqrt(2m) or the largest initial
-    count plus one, and the loop exits as soon as no residual edges
-    remain.
-
-    ``zero_shortcut`` emits tau = 0 for triangle-free edges during the
-    round-1 scan without stacking them (their removal cannot affect any
-    other count). ``check_invariants`` re-derives the residual counts
-    from scratch at round boundaries and asserts the stack discipline;
-    intended for tests, quadratic-ish cost.
+    Runs the peeling rounds with the neighbor-scan removal step; the round
+    counter never needs to pass sqrt(2m) or the largest initial count plus
+    one. ``check_invariants`` re-derives the residual counts from scratch
+    at round boundaries and asserts the stack discipline; intended for
+    tests, quadratic-ish cost.
     """
     m = G.m
-    stats = PeelStats()
     if m == 0:
-        return TrussLabels([], [], None), stats
+        return TrussLabels([], [], None), PeelStats()
     delta = list(triangle_counts(G).per_edge)
     tau = [0] * m
-    scan_list = list(range(m))
+    remove = _scan_removal(G, delta)
+    check = None
+    if check_invariants:
+        scan_remove = remove
+
+        def remove(e: int, k: int, stack: list[int]) -> int:
+            assert delta[e] != REMOVED, f"edge {e} stacked twice"
+            return scan_remove(e, k, stack)
+
+        def check(k: int, stack: list[int]) -> None:
+            _assert_invariants(G, delta, stack, k)
+
+    k_stop = min(isqrt(2 * m), max(delta) + 1)
+    residual, stats = _peel(delta, k_stop, remove, tau, check)
+    assert residual == 0, "peeling failed to remove every edge"
+    return TrussLabels(tau, [True] * m, None), stats
+
+
+def _peel(delta, k_stop, remove, tau, check=None) -> tuple[int, PeelStats]:
+    """Threshold-peeling rounds k = 1..k_stop over the residual counts
+    ``delta``, stopping early once no edge is left; returns the number of
+    edges left and the work counters.
+
+    Round k removes every residual edge whose count drops below k and
+    sets its tau to k - 1. The scan list is compacted lazily by swapping
+    removed entries to the end while it is traversed; triangle-free edges
+    leave during the round-1 scan without being stacked, since removing
+    them changes no other count. ``remove(e, k, stack)`` marks e removed,
+    decrements the two other edges of every residual triangle through e,
+    pushes each one that reaches k - 1, and returns the steps it took; it
+    is the only part that knows how the triangles are found.
+    ``check(k, stack)``, if given, runs after each scan and after each
+    drained stack.
+    """
+    scan_list = list(range(len(delta)))
     stack: list[int] = []
-    residual = m
-    pushed_ever: set[int] = set() if check_invariants else None  # type: ignore
-    k_max = min(isqrt(2 * m), max(delta) + 1)
-    edge_ids = G._edge_ids
-    adj = G.adj
-    for k in range(1, k_max + 1):
-        stats.rounds = k
+    residual = len(delta)
+    k = scans = pops = steps = 0
+    for k in range(1, k_stop + 1):
         i = 0
         while i < len(scan_list):
-            stats.scan_steps += 1
+            scans += 1
             e = scan_list[i]
             de = delta[e]
-            if de == REMOVED:
-                scan_list[i] = scan_list[-1]
-                scan_list.pop()
-                continue
-            if zero_shortcut and k == 1 and de == 0:
-                tau[e] = 0
-                delta[e] = REMOVED
-                residual -= 1
+            if de == REMOVED or (k == 1 and de == 0):
+                if de == 0:
+                    tau[e] = 0
+                    delta[e] = REMOVED
+                    residual -= 1
                 scan_list[i] = scan_list[-1]
                 scan_list.pop()
                 continue
             if de == k - 1:
                 stack.append(e)
-                stats.stack_pushes += 1
-                if check_invariants:
-                    assert e not in pushed_ever, f"edge {e} stacked twice"
-                    pushed_ever.add(e)
             i += 1
-        if check_invariants:
-            _assert_scan_invariants(G, delta, stack, k)
+        if check:
+            check(k, stack)
         while stack:
             e = stack.pop()
-            u, v = ordered_endpoints(G, e)
-            delta[e] = REMOVED
-            residual -= 1
+            pops += 1
+            steps += remove(e, k, stack)
             tau[e] = k - 1
-            for w in adj[u]:
-                stats.removal_steps += 1
-                if w == v:
-                    continue
-                f_vw = edge_ids.get((v, w) if v < w else (w, v))
-                if f_vw is None or delta[f_vw] == REMOVED:
-                    continue
-                f_uw = edge_ids[(u, w) if u < w else (w, u)]
-                if delta[f_uw] == REMOVED:
-                    continue
-                delta[f_uw] -= 1
-                if delta[f_uw] == k - 1:
-                    stack.append(f_uw)
-                    stats.stack_pushes += 1
-                    if check_invariants:
-                        assert f_uw not in pushed_ever, f"edge {f_uw} stacked twice"
-                        pushed_ever.add(f_uw)
-                delta[f_vw] -= 1
-                if delta[f_vw] == k - 1:
-                    stack.append(f_vw)
-                    stats.stack_pushes += 1
-                    if check_invariants:
-                        assert f_vw not in pushed_ever, f"edge {f_vw} stacked twice"
-                        pushed_ever.add(f_vw)
-        if check_invariants:
-            _assert_round_end(G, delta, k)
+            residual -= 1
+        if check:
+            check(k, stack)
         if residual == 0:
             break
-    assert residual == 0, "peeling failed to remove every edge"
-    return TrussLabels(tau, [True] * m, None), stats
+    stats = PeelStats(rounds=k, stack_pushes=pops, scan_steps=scans, removal_steps=steps)
+    return residual, stats
+
+
+def _scan_removal(G: Graph, delta: list[int]):
+    """The removal step that finds the triangles through an edge by
+    scanning its smaller-degree endpoint's adjacency with pair lookups;
+    each adjacency entry is one step."""
+    edge_ids = G._edge_ids
+    adj = G.adj
+
+    def remove(e: int, k: int, stack: list[int]) -> int:
+        u, v = ordered_endpoints(G, e)
+        delta[e] = REMOVED
+        nbrs = adj[u]
+        for w in nbrs:
+            if w == v:
+                continue
+            f_vw = edge_ids.get((v, w) if v < w else (w, v))
+            if f_vw is None or delta[f_vw] == REMOVED:
+                continue
+            f_uw = edge_ids[(u, w) if u < w else (w, u)]
+            if delta[f_uw] == REMOVED:
+                continue
+            delta[f_uw] -= 1
+            if delta[f_uw] == k - 1:
+                stack.append(f_uw)
+            delta[f_vw] -= 1
+            if delta[f_vw] == k - 1:
+                stack.append(f_vw)
+        return len(nbrs)
+
+    return remove
 
 
 def _residual_counts(G: Graph, delta: list[int]) -> list[int]:
@@ -174,7 +197,9 @@ def _residual_counts(G: Graph, delta: list[int]) -> list[int]:
     return out
 
 
-def _assert_scan_invariants(G, delta, stack, k):
+def _assert_invariants(G, delta, stack, k):
+    """Every residual count is current, and every residual edge below the
+    round threshold is on the stack (which is empty once a round ends)."""
     fresh = _residual_counts(G, delta)
     on_stack = set(stack)
     for e in range(G.m):
@@ -184,14 +209,6 @@ def _assert_scan_invariants(G, delta, stack, k):
         assert delta[e] >= k or e in on_stack, f"edge {e} below round threshold, unstacked"
     for e in on_stack:
         assert delta[e] != REMOVED and delta[e] < k, f"stacked edge {e} invalid"
-
-
-def _assert_round_end(G, delta, k):
-    fresh = _residual_counts(G, delta)
-    for e in range(G.m):
-        if delta[e] != REMOVED:
-            assert delta[e] == fresh[e], f"stale count on edge {e}"
-            assert delta[e] >= k, f"survivor {e} below threshold after round {k}"
 
 
 def peel_to_fixed_point(
@@ -213,40 +230,18 @@ def peel_to_fixed_point(
     delta = list(base_delta) if base_delta is not None else list(
         triangle_counts(G).per_edge
     )
-    edge_ids = G._edge_ids
-    adj = G.adj
-
-    def cascade_remove(e: int) -> None:
-        u, v = ordered_endpoints(G, e)
-        delta[e] = REMOVED
-        for w in adj[u]:
-            if w == v:
-                continue
-            f_vw = edge_ids.get((v, w) if v < w else (w, v))
-            if f_vw is None or delta[f_vw] == REMOVED:
-                continue
-            f_uw = edge_ids[(u, w) if u < w else (w, u)]
-            if delta[f_uw] == REMOVED:
-                continue
-            delta[f_uw] -= 1
-            if delta[f_uw] == k - 1:
-                stack.append(f_uw)
-            delta[f_vw] -= 1
-            if delta[f_vw] == k - 1:
-                stack.append(f_vw)
-
+    remove = _scan_removal(G, delta)
     stack: list[int] = []
     for e in set(pre_removed):
         if not (0 <= e < m):
             raise ValidationError(f"edge id {e} out of range")
         if delta[e] != REMOVED:
-            cascade_remove(e)
+            remove(e, k, stack)
     stack.extend(e for e in range(m) if delta[e] != REMOVED and delta[e] < k)
     while stack:
         e = stack.pop()
-        if delta[e] == REMOVED:
-            continue
-        cascade_remove(e)
+        if delta[e] != REMOVED:
+            remove(e, k, stack)
     return [e for e in range(m) if delta[e] != REMOVED]
 
 

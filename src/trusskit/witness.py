@@ -8,7 +8,9 @@ so triangles through an edge can usually be recovered by scanning its row
 instead of the neighborhoods; a deterministic fallback scan keeps the
 output exact (and therefore seed-independent) when the row misses some.
 Removing an edge subtracts the vanished endpoints' ids from the affected
-rows, keeping the table consistent without recomputation.
+rows, keeping the table consistent without recomputation. The truncated
+decomposition is the exact peel's kernel (``peel._peel``) stopped after
+round k_trunc, with enumeration plus removal as its removal step.
 
 Direct initialization intersects each edge's endpoint neighbor sets (a
 scan of the smaller-degree side, as in triangle counting) and streams the
@@ -30,13 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, ValidationError
-from .peel import REMOVED, TrussLabels
+from .peel import REMOVED, TrussLabels, _peel
 from .triangles import ordered_endpoints
 
 DEFAULT_SEED = 1729
 DEFAULT_MEM_CAP = 4 * 2**30  # bytes init_witness may allocate in the CLI
 
 _INIT_CHUNK = 1024  # (edge, witness) pairs buffered per flush during direct init
+_DRAW_BLOCK = 1 << 16  # float64 draws per block when sampling set membership
 _INIT_MODES = ("direct", "matrix")
 
 
@@ -144,12 +147,14 @@ def _footprint(G: Graph, L: int, degrees: np.ndarray, heavy: np.ndarray, mode: s
     counts it (array data plus object and slot overheads).
 
     Always: per vertex the bool membership and the membership lists (9L
-    at q = 1; the float64 draw, 8L, is freed before the lists exist) and
-    small arrays; per edge the table row and count. Direct mode: neighbor sets (<= 128 bytes per entry), one
-    common-neighbor set, and a buffer of at most _INIT_CHUNK + max-degree
-    pairs, each with list and index bookkeeping and, per set holding its
-    witness, six int64 temporaries. Matrix mode: five float64 h x h arrays
-    for h heavy vertices and index lists over the heavy-heavy edges.
+    at q = 1; the float64 draw, taken in row blocks of about _DRAW_BLOCK
+    values and so never over 8L per vertex, is freed before the lists
+    exist) and small arrays; per edge the table row and count. Direct
+    mode: neighbor sets (<= 128 bytes per entry), one common-neighbor
+    set, and a buffer of at most _INIT_CHUNK + max-degree pairs, each
+    with list and index bookkeeping and, per set holding its witness, six
+    int64 temporaries. Matrix mode: five float64 h x h arrays for h heavy
+    vertices and index lists over the heavy-heavy edges.
     """
     n1, m = G.n + 1, G.m
     total = 9 * n1 * L + 160 * n1 + 8 * m * L + 8 * m + 65536
@@ -197,8 +202,14 @@ def init_witness(G: Graph, cfg: WitnessConfig, _xmat=None) -> WitnessState:
             raise ValidationError(f"explicit set matrix must be shape {(n + 1, L)}")
         xmat = xmat.copy()
     else:
+        # row blocks of one generator continue its stream, so the sets are
+        # those of a single (n+1) x L draw without holding it in float64
         rng = np.random.default_rng(cfg.seed)
-        xmat = rng.random((n + 1, L)) < q
+        xmat = np.empty((n + 1, L), dtype=bool)
+        rows = max(1, _DRAW_BLOCK // L)
+        for lo in range(0, n + 1, rows):
+            block = xmat[lo : lo + rows]
+            np.less(rng.random(block.shape), q, out=block)
     xmat[0] = False
     # memberships in vertex order: the sets holding v are
     # set_ids[indptr[v]:indptr[v + 1]]
@@ -404,17 +415,14 @@ def remove_edge(
     return affected
 
 
-_EMPTY_OUTCOME = EnumerationOutcome([], False, 0)
-
-
 def truncated_decomposition(G: Graph, cfg: WitnessConfig) -> TrussLabels:
     """Exact tau(e) for every edge with tau below k_trunc; the rest are
     labelled with the lower bound k_trunc.
 
-    Rounds follow the same stack/scan-list discipline as the full peeler,
-    stopping after round k_trunc. The randomness only affects how often
-    the fallback scan runs, never the labels, so the output is
-    seed-independent.
+    Runs the exact peel's rounds, stopping after round k_trunc, with a
+    removal step that enumerates each edge's triangles from the witness
+    table. The randomness only affects how often the fallback scan runs,
+    never the labels, so the output is seed-independent.
     """
     m = G.m
     k_trunc = cfg.k_trunc
@@ -427,48 +435,19 @@ def truncated_decomposition(G: Graph, cfg: WitnessConfig) -> TrussLabels:
 
 
 def _run_rounds(state: WitnessState) -> TrussLabels:
-    G = state.G
-    m = G.m
     k_trunc = state.cfg.k_trunc
     delta = state.delta
-    tau = [k_trunc] * m
-    exact = [False] * m
-    scan_list = list(range(m))
-    stack: list[int] = []
-    residual = m
-    for k in range(1, k_trunc + 1):
-        i = 0
-        while i < len(scan_list):
-            e = scan_list[i]
-            de = delta[e]
-            if de == REMOVED:
-                scan_list[i] = scan_list[-1]
-                scan_list.pop()
-                continue
-            if k == 1 and de == 0:
-                remove_edge(state, e, _EMPTY_OUTCOME)
-                tau[e] = 0
-                exact[e] = True
-                residual -= 1
-                scan_list[i] = scan_list[-1]
-                scan_list.pop()
-                continue
-            if de == k - 1:
-                stack.append(e)
-            i += 1
-        while stack:
-            e = stack.pop()
-            outcome = enumerate_residual(state, e)
-            affected = remove_edge(state, e, outcome)
-            tau[e] = k - 1
-            exact[e] = True
-            residual -= 1
-            for f in affected:
-                if delta[f] == k - 1:
-                    stack.append(f)
-        if residual == 0:
-            break
-    return TrussLabels(tau, exact, k_trunc)
+    tau = [k_trunc] * state.G.m
+
+    def remove(e: int, k: int, stack: list[int]) -> int:
+        affected = remove_edge(state, e, enumerate_residual(state, e))
+        for f in affected:
+            if delta[f] == k - 1:
+                stack.append(f)
+        return len(affected)
+
+    _peel(delta, k_trunc, remove, tau)
+    return TrussLabels(tau, [t < k_trunc for t in tau], k_trunc)
 
 
 def instrumented_truncated_decomposition(

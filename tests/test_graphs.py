@@ -1,17 +1,16 @@
-"""Graph representation, parsing, subgraphs, contraction, degeneracy."""
+"""Graph representation, parsing, subgraphs, degeneracy."""
 
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given
 
 from trusskit import (
     ParseError,
     ValidationError,
     clustering_coefficient,
     connected_components,
-    contract,
     degeneracy,
     from_edges,
     from_pairs,
@@ -118,41 +117,6 @@ def test_induced_edges_bowtie_triangle():
 def test_induced_edges_bad_id():
     with pytest.raises(ValidationError):
         induced_by_edges(complete(4), [99])
-
-
-# -- contraction --------------------------------------------------------------
-
-
-def test_contract_k4_k4():
-    g = contract(complete(4), complete(4), 1, 1)
-    assert (g.n, g.m) == (7, 12)
-
-
-def test_contract_triangles_gives_bowtie():
-    g = contract(complete(3), complete(3), 3, 1)
-    assert (g.n, g.m) == (5, 6)
-    assert sorted(connected_components(g)) == [0] * 6
-
-
-def test_contract_single_edges_gives_path():
-    p2 = from_edges(2, [(1, 2)])
-    g = contract(p2, p2, 2, 1)
-    assert (g.n, g.m) == (3, 2)
-
-
-def test_contract_bad_vertex():
-    with pytest.raises(ValidationError):
-        contract(complete(3), complete(3), 7, 1)
-
-
-@settings(max_examples=200)
-@given(small_graphs(min_m=1), small_graphs(min_m=1), st.data())
-def test_contract_counts(G, H, data):
-    gv = data.draw(st.integers(1, G.n))
-    hv = data.draw(st.integers(1, H.n))
-    out = contract(G, H, gv, hv)
-    assert out.n == G.n + H.n - 1
-    assert out.m == G.m + H.m
 
 
 # -- components ---------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from trusskit import (
     ValidationError,
     clique_chain,
-    contract,
     from_edges,
     gnp_random,
     is_k_truss,
@@ -40,11 +39,6 @@ def test_clique_chain_all_two():
     assert truss_decomposition(clique_chain(2, 2)).tau == [2] * 12
 
 
-def test_contracted_k4s_match_chain():
-    g = contract(complete(4), complete(4), 1, 1)
-    assert truss_decomposition(g).tau == [2] * 12
-
-
 def test_bowtie_and_star():
     assert truss_decomposition(bowtie()).tau == [1] * 6
     star = from_edges(6, [(1, i) for i in range(2, 7)])
@@ -68,15 +62,8 @@ def test_oracle_equivalence_hypothesis(G):
 
 
 @given(small_graphs())
-def test_shortcut_changes_nothing(G):
-    with_cut = truss_decomposition(G, zero_shortcut=True)
-    without = truss_decomposition(G, zero_shortcut=False)
-    assert with_cut.tau == without.tau
-
-
-@given(small_graphs())
 def test_internal_invariants_hold(G):
-    labels = truss_decomposition(G, check_invariants=True, zero_shortcut=False)
+    labels = truss_decomposition(G, check_invariants=True)
     assert labels.tau == oracle_truss_decomposition(G).tau
 
 
@@ -156,6 +143,7 @@ def test_work_accounting(G):
     labels, stats = instrumented_truss_decomposition(G)
     assert stats.stack_pushes <= G.m
     assert stats.scan_steps <= sum(t + 1 for t in labels.tau) + G.m
+    assert stats.removal_steps <= sum(min(G.degree(u), G.degree(v)) for u, v in G.edges)
 
 
 def test_scan_bound_against_average_degeneracy():

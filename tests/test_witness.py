@@ -20,6 +20,7 @@ from trusskit import (
     truss_decomposition,
 )
 from trusskit.witness import (
+    _DRAW_BLOCK,
     _run_rounds,
     _truncation_cap,
     instrumented_truncated_decomposition,
@@ -139,6 +140,15 @@ def test_matrix_init_equals_direct(b):
         )
         assert np.array_equal(direct.S, matrix.S)
         assert np.array_equal(direct.delta, matrix.delta)
+
+
+def test_blocked_draw_matches_one_shot_draw():
+    star = from_edges(900, [(1, i) for i in range(2, 901)])
+    state = init_witness(star, WitnessConfig(k_trunc=3, seed=11))
+    assert star.n + 1 > _DRAW_BLOCK // state.L  # spans several row blocks
+    ref = np.random.default_rng(11).random((star.n + 1, state.L)) < state.q
+    ref[0] = False
+    assert np.array_equal(state.xmat, ref)
 
 
 def test_delta_matches_common_neighbor_count():
