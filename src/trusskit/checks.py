@@ -1,11 +1,13 @@
-"""Brute-force oracles and bound checkers.
+"""Brute-force oracles, truss deciders and bound checks.
 
-Everything here is ground truth for the rest of the package: the triangle
-oracle scans all vertex triples, the decomposition oracle re-derives every
-count from scratch on each pass, and the bound report evaluates the
-structural inequalities a correct decomposition can never violate. The
-internal subgraph statistics are computed on dense adjacency matrices, a
-representation deliberately different from the incremental peeling path.
+The capped oracles are ground truth for the rest of the package: the
+triangle oracle scans all vertex triples, and the decomposition oracle
+re-derives every count from scratch on each pass with dense adjacency
+products, a representation deliberately different from the incremental
+peeling path. The truss deciders and the bound report work from sparse
+per-edge triangle counts, so no path outside the capped oracles builds an
+n x n array. The bound report evaluates the structural inequalities a
+correct decomposition can never violate.
 
 All functions are read-only over Graph and safe for concurrent use.
 """
@@ -20,28 +22,13 @@ import numpy as np
 from . import graphs as gr
 from .graphs import Graph, ValidationError
 from .peel import TrussLabels, k_truss_components, peel_to_fixed_point
-from .triangles import TriangleCounts, triangle_counts
+from .triangles import TriangleCounts, enumerate_triangles, triangle_counts
 
 DEFAULT_CAP = 200
 
 
 class CapExceeded(Exception):
     """Input too large for a brute-force oracle."""
-
-
-def _dense_adjacency(G: Graph) -> np.ndarray:
-    A = np.zeros((G.n + 1, G.n + 1), dtype=np.float64)
-    for v in G.vertices:
-        nbrs = G.adj[v]
-        if nbrs:
-            A[v, list(nbrs)] = 1.0
-    return A
-
-
-def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
-    us = np.array([u for u, _ in edges], dtype=np.int64)
-    vs = np.array([v for _, v in edges], dtype=np.int64)
-    return us, vs
 
 
 def brute_force_triangles(G: Graph, cap: int = DEFAULT_CAP) -> TriangleCounts:
@@ -85,8 +72,9 @@ def oracle_truss_decomposition(G: Graph, cap: int = DEFAULT_CAP) -> TrussLabels:
     tau = [0] * m
     if m == 0:
         return TrussLabels([], [], None)
-    A = _dense_adjacency(G)
-    us, vs = _edge_arrays(G.edges)
+    A = np.zeros((G.n + 1, G.n + 1), dtype=np.float64)
+    us, vs = np.array(G.edges, dtype=np.int64).T
+    A[us, vs] = A[vs, us] = 1.0
     alive = np.ones(m, dtype=bool)
     k = 1
     guard = isqrt(2 * m) + 2
@@ -113,34 +101,7 @@ def is_k_truss(G: Graph, k: int) -> bool:
         return True
     if any(G.degree(v) == 0 for v in G.vertices):
         return False
-    if G.m == 0:
-        return False
-    A = _dense_adjacency(G)
-    us, vs = _edge_arrays(G.edges)
-    counts = (A @ A)[us, vs]
-    return bool((counts >= k).all())
-
-
-def _matrix_is_k_truss(A: np.ndarray, active: np.ndarray, k: int) -> bool:
-    """Truss test on a dense adjacency matrix; ``active`` lists the
-    vertices that must not be isolated. Used by the suspension builder."""
-    deg = A.sum(axis=1)
-    if (deg[active] == 0).any():
-        return False
-    us, vs = np.nonzero(np.triu(A))
-    if us.size == 0:
-        return active.size == 0
-    counts = (A @ A)[us, vs]
-    return bool((counts >= k).all())
-
-
-def is_k_truss_scalar(G: Graph, k: int) -> bool:
-    """Pure-Python restatement of is_k_truss; kept as a cross-check."""
-    if G.n == 0:
-        return True
-    if any(G.degree(v) == 0 for v in G.vertices) or G.m == 0:
-        return False
-    return all(c >= k for c in triangle_counts(G).per_edge)
+    return min(triangle_counts(G).per_edge) >= k
 
 
 def is_critical_k_truss(G: Graph, k: int) -> bool:
@@ -149,13 +110,14 @@ def is_critical_k_truss(G: Graph, k: int) -> bool:
     Decided by m single-edge deletions: the maximal k-truss edge set is
     unique and monotone under taking subgraphs, so any nonempty proper
     witness subset would survive peeling inside G minus some edge, and
-    conversely criticality forces every such peel to empty out.
+    conversely criticality forces every such peel to empty out. One count
+    of the triangles serves the truss test and every peel.
     """
-    if G.m == 0:
-        return False
-    if not is_k_truss(G, k):
+    if G.m == 0 or any(G.degree(v) == 0 for v in G.vertices):
         return False
     base = triangle_counts(G).per_edge
+    if min(base) < k:
+        return False
     for e in range(G.m):
         if peel_to_fixed_point(G, k, pre_removed=(e,), base_delta=base):
             return False
@@ -294,24 +256,41 @@ def bound_report(G: Graph, labels: TrussLabels) -> BoundReport:
             worst[name] = BoundCheck(name, margin >= 0, margin, detail, witness)
 
     max_tau = max(tau)
-    A_full = _dense_adjacency(G)
+    # Level k keeps the edges with tau >= k and the triangles whose smallest
+    # edge tau is >= k. deg and tri count them per vertex at level 1; each
+    # level up subtracts what left with the level below (drops[k - 1]).
+    deg = [0] * (G.n + 1)
+    tri = [0] * (G.n + 1)
+    deg_drops: list[list[int]] = [[] for _ in range(max_tau)]
+    tri_drops: list[list[int]] = [[] for _ in range(max_tau)]
+
+    def enter(counts, drops, level, vertices):
+        if level >= 1:
+            for x in vertices:
+                counts[x] += 1
+            if level < max_tau:
+                drops[level].extend(vertices)
+
+    eid = G._edge_ids
+
+    def enter_triangle(t):
+        u, v, w = t
+        enter(tri, tri_drops, min(tau[eid[u, v]], tau[eid[u, w]], tau[eid[v, w]]), t)
+
+    for e, uv in enumerate(G.edges):
+        enter(deg, deg_drops, tau[e], uv)
+    enumerate_triangles(G, enter_triangle)
     for k in range(1, max_tau + 1):
+        for x in deg_drops[k - 1]:
+            deg[x] -= 1
+        for x in tri_drops[k - 1]:
+            tri[x] -= 1
         # components by smallest vertex, so ties keep naming the same witness
         comps = sorted(
             (sorted({x for e in comp for x in G.edges[e]}), comp)
             for comp in k_truss_components(G, k, labels)
         )
-        if not comps:
-            continue
-        Ak = np.zeros_like(A_full)
-        for _, comp in comps:
-            for e in comp:
-                u, v = G.edges[e]
-                Ak[u, v] = Ak[v, u] = 1.0
-        sq = Ak @ Ak
-        deg_k = Ak.sum(axis=1)
         for vs_c, edges_c in comps:
-            tri_v = {v: int(round((sq[v] * Ak[v]).sum())) // 2 for v in vs_c}
             n_c = len(vs_c)
             m_c = len(edges_c)
             # (b) component has at least k+2 vertices
@@ -329,7 +308,7 @@ def bound_report(G: Graph, labels: TrussLabels) -> BoundReport:
                 f"component of {_edge_name(G, edges_c[0])}",
             )
             # (f) triangle count: 6 t_c >= (n_c - 1)(k + 2) k
-            t_c = sum(tri_v[v] for v in vs_c) // 3
+            t_c = sum(tri[v] for v in vs_c) // 3
             consider(
                 "component_triangle_count",
                 6 * t_c - (n_c - 1) * (k + 2) * k,
@@ -337,19 +316,18 @@ def bound_report(G: Graph, labels: TrussLabels) -> BoundReport:
                 f"component of {_edge_name(G, edges_c[0])}",
             )
             for v in vs_c:
-                d_v = int(round(deg_k[v]))
                 # (a) degree inside the component
                 consider(
                     "component_min_degree",
-                    d_v - (k + 1),
-                    f"k={k}: deg = {d_v} vs bound {k + 1}",
+                    deg[v] - (k + 1),
+                    f"k={k}: deg = {deg[v]} vs bound {k + 1}",
                     f"vertex {G.labels[v]}",
                 )
                 # (c) triangle support, equivalent to cc(v) >= C(k+1,2)/C(d,2)
                 consider(
                     "clustering_support",
-                    tri_v[v] - (k + 1) * k // 2,
-                    f"k={k}: triangles at v = {tri_v[v]} vs C(k+1,2) = {(k + 1) * k // 2}",
+                    tri[v] - (k + 1) * k // 2,
+                    f"k={k}: triangles at v = {tri[v]} vs C(k+1,2) = {(k + 1) * k // 2}",
                     f"vertex {G.labels[v]}",
                 )
     if not worst:

@@ -135,7 +135,7 @@ def suspend(G: Graph, k: int, added: int, return_receipt: bool = False):
     inclusion-minimal apex edge set that makes the result a (k+added)-truss.
 
     Candidate apex edges are dropped greedily in ascending (apex, old id)
-    order, re-testing trussness after each tentative removal; passes repeat
+    order whenever the result stays a (k+added)-truss; passes repeat
     until none can be dropped, which guarantees true minimality. Apexes are
     never adjacent to each other. If G is a critical k-truss on more than
     k+3 vertices, the result is a critical (k+added)-truss. The output is
@@ -147,33 +147,46 @@ def suspend(G: Graph, k: int, added: int, return_receipt: bool = False):
         raise ValidationError("suspend requires the input to be a k-truss")
     n0 = G.n
     target = k + added
-    size = n0 + added + 1
-    A = np.zeros((size, size), dtype=np.float64)
-    for u, v in G.edges:
-        A[u, v] = A[v, u] = 1.0
-    apexes = list(range(n0 + 1, n0 + added + 1))
-    for x in apexes:
-        for v in range(1, n0 + 1):
-            A[x, v] = A[v, x] = 1.0
-    active = np.arange(1, n0 + added + 1)
-    if not checks._matrix_is_k_truss(A, active, target):
+    apexes = range(n0 + 1, n0 + added + 1)
+    nbrs = [set(a) for a in G.adj] + [set(G.vertices) for _ in apexes]
+    for v in G.vertices:
+        nbrs[v].update(apexes)
+    # triangles per edge, keyed (smaller id, larger id); apexes have the
+    # largest ids
+    count = {
+        (u, v): len(nbrs[u] & nbrs[v])
+        for u in range(1, n0 + added + 1)
+        for v in nbrs[u]
+        if u < v
+    }
+    if not all(nbrs[1:]) or min(count.values()) < target:
         raise ValidationError(
             f"full suspension is not a {target}-truss; input too sparse"
         )
+    # The current graph is always a target-truss, so dropping the apex edge
+    # (v, x) keeps it one exactly when x keeps an edge and every edge that
+    # loses its triangle with (v, x) stays at or above target.
     changed = True
     while changed:
         changed = False
         for x in apexes:
-            for v in range(1, n0 + 1):
-                if A[x, v] == 0.0:
+            for v in G.vertices:
+                if v not in nbrs[x] or len(nbrs[x]) == 1:
                     continue
-                A[x, v] = A[v, x] = 0.0
-                if checks._matrix_is_k_truss(A, active, target):
-                    changed = True
-                else:
-                    A[x, v] = A[v, x] = 1.0
-    us, vs = np.nonzero(np.triu(A))
-    g = from_edges(n0 + added, list(zip(us.tolist(), vs.tolist())))
+                common = nbrs[x] & nbrs[v]
+                if any(
+                    count[w, x] <= target or count[min(v, w), max(v, w)] <= target
+                    for w in common
+                ):
+                    continue
+                nbrs[x].remove(v)
+                nbrs[v].remove(x)
+                del count[v, x]
+                for w in common:
+                    count[w, x] -= 1
+                    count[min(v, w), max(v, w)] -= 1
+                changed = True
+    g = from_edges(n0 + added, sorted(count))
     receipt = ConstructionReceipt(
         "suspend", n0 + added, g.m, g.n, g.m,
         ["vertex_count", "edge_count", f"is_{target}_truss", "apex_set_minimal"],
@@ -495,6 +508,10 @@ def gnp_random(n: int, p: float, seed: int) -> Graph:
     if n < 1 or not (0.0 <= p <= 1.0):
         raise ValidationError("need n >= 1 and p in [0, 1]")
     rng = np.random.default_rng(seed)
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    mask = rng.random(len(pairs)) < p
-    return from_edges(n, [uv for uv, keep in zip(pairs, mask) if keep])
+    pairs = []
+    # row u draws for the pairs (u, u+1..n): consecutive draws continue
+    # one stream, so this equals one draw over all pairs in row order
+    for u in range(1, n):
+        keep = np.flatnonzero(rng.random(n - u) < p) + (u + 1)
+        pairs.extend((u, v) for v in keep.tolist())
+    return from_edges(n, pairs)

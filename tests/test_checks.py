@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from trusskit import (
     bound_report,
@@ -18,10 +19,11 @@ from trusskit import (
     triangle_counts,
     truss_decomposition,
 )
-from trusskit.checks import CapExceeded, is_critical_k_truss_exhaustive, is_k_truss_scalar
+from trusskit.checks import CapExceeded, is_critical_k_truss_exhaustive
 from trusskit.graphs import ValidationError
 from trusskit.peel import TrussLabels
 
+from .oracles import dense_is_k_truss, level_bound_checks
 from .strategies import small_graphs
 
 
@@ -82,9 +84,9 @@ def test_is_k_truss_isolated_vertex():
 
 
 @given(small_graphs())
-def test_is_k_truss_matches_scalar(G):
+def test_is_k_truss_matches_dense_oracle(G):
     for k in (0, 1, 2, 3):
-        assert is_k_truss(G, k) == is_k_truss_scalar(G, k)
+        assert is_k_truss(G, k) == dense_is_k_truss(G, k)
 
 
 def test_is_critical_examples():
@@ -167,3 +169,27 @@ def test_bound_report_rejects_truncated_labels():
     labels = TrussLabels([1] * 6, [False] * 6, truncated_at=1)
     with pytest.raises(ValidationError):
         bound_report(g, labels)
+
+
+GLOBAL_CHECKS = ("trussness_vs_edge_count", "trussness_vs_degeneracy")
+
+
+def _level_checks(report):
+    return [c for c in report.checks if c.name not in GLOBAL_CHECKS]
+
+
+@given(small_graphs(max_n=9, min_m=1), st.data())
+def test_bound_report_matches_level_by_level_reference(G, data):
+    labels = truss_decomposition(G)
+    bumps = data.draw(st.lists(st.integers(0, 2), min_size=G.m, max_size=G.m))
+    for tau in (labels.tau, [t + b for t, b in zip(labels.tau, bumps)]):
+        report = bound_report(G, TrussLabels(tau, [True] * G.m, None))
+        assert _level_checks(report) == level_bound_checks(G, tau)
+
+
+def test_bound_report_matches_reference_on_chains_and_cliques():
+    for g in (clique_chain(2, 4), clique_chain(3, 3), complete(7), critical_2truss(9)):
+        tau = truss_decomposition(g).tau
+        for bumped in (tau, [t + (e % 3) for e, t in enumerate(tau)]):
+            report = bound_report(g, TrussLabels(bumped, [True] * g.m, None))
+            assert _level_checks(report) == level_bound_checks(g, bumped)

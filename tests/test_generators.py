@@ -2,6 +2,7 @@
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from trusskit import (
@@ -12,6 +13,7 @@ from trusskit import (
     critical_2truss,
     critical_truss,
     from_edges,
+    gnp_random,
     induced_by_vertices,
     is_critical_k_truss,
     is_k_truss,
@@ -22,6 +24,8 @@ from trusskit import (
     truss_from_embedding,
 )
 from trusskit.generators import FaceEmbedding, has_truss_safe_shape
+
+from .oracles import dense_suspend
 
 
 def complete(n):
@@ -141,6 +145,38 @@ def test_suspend_rejects_non_truss():
     path = from_edges(3, [(1, 2), (2, 3)])
     with pytest.raises(ValidationError):
         suspend(path, 1, 1)
+
+
+def _suspend_cases():
+    for n in range(6, 14):
+        yield critical_2truss(n), 2
+    # below their own k, chains and cliques leave slack on the original
+    # edges, so the apex edges' own counts decide; k = -1 with one apex
+    # asks for a 0-truss, where only "the apex keeps an edge" stops it
+    for k, s in ((1, 3), (2, 2), (2, 4), (3, 3)):
+        for j in range(1, k + 1):
+            yield clique_chain(k, s), j
+    for n in range(3, 8):
+        for k in range(-1, n - 1):
+            yield complete(n), k
+
+
+def test_suspend_matches_dense_greedy_oracle():
+    built = refused = 0
+    for g, k in _suspend_cases():
+        for added in (1, 2):
+            try:
+                want, want_receipt = dense_suspend(g, k, added)
+            except ValidationError:
+                with pytest.raises(ValidationError):
+                    suspend(g, k, added)
+                refused += 1
+                continue
+            got, receipt = suspend(g, k, added, return_receipt=True)
+            assert got.n == want.n and got.edges == want.edges
+            assert receipt == want_receipt
+            built += 1
+    assert built and refused
 
 
 def test_suspension_ladder_bound():
@@ -309,3 +345,14 @@ def test_chains_are_never_critical():
     for k in range(1, 5):
         for s in (2, 3):
             assert not is_critical_k_truss(clique_chain(k, s), k)
+
+
+# -- random graphs --------------------------------------------------------------
+
+
+def test_gnp_row_draws_match_one_shot_draw():
+    for n, p, seed in ((1, 0.5, 0), (2, 1.0, 3), (17, 0.3, 7), (60, 0.1, 11), (200, 0.05, 42)):
+        pairs = list(combinations(range(1, n + 1), 2))
+        keep = np.random.default_rng(seed).random(len(pairs)) < p
+        want = [uv for uv, k in zip(pairs, keep) if k]
+        assert list(gnp_random(n, p, seed).edges) == want
