@@ -21,8 +21,8 @@ import numpy as np
 
 from . import graphs as gr
 from .graphs import Graph, ValidationError
-from .peel import TrussLabels, k_truss_components, peel_to_fixed_point
-from .triangles import TriangleCounts, enumerate_triangles, triangle_counts
+from .peel import TrussLabels, _find, peel_to_fixed_point
+from .triangles import TriangleCounts, _blocks, triangle_counts
 
 DEFAULT_CAP = 200
 
@@ -115,11 +115,11 @@ def is_critical_k_truss(G: Graph, k: int) -> bool:
     """
     if G.m == 0 or any(G.degree(v) == 0 for v in G.vertices):
         return False
-    base = triangle_counts(G).per_edge
-    if min(base) < k:
+    counts = triangle_counts(G)
+    if min(counts.per_edge) < k:
         return False
     for e in range(G.m):
-        if peel_to_fixed_point(G, k, pre_removed=(e,), base_delta=base):
+        if peel_to_fixed_point(G, k, pre_removed=(e,), counts=counts):
             return False
     return True
 
@@ -247,65 +247,68 @@ def bound_report(G: Graph, labels: TrussLabels) -> BoundReport:
             _edge_name(G, worst_e),
         )
     )
-    # per-level component checks, aggregated to the worst instance of each kind
+    # per-level component checks, aggregated to the worst instance of each
+    # kind: the smallest margin, ties to the lowest level, then the first seen
     worst: dict[str, BoundCheck] = {}
+    order: dict[str, tuple[int, int]] = {}
 
     def consider(name: str, margin: int, detail: str, witness: str):
-        cur = worst.get(name)
-        if cur is None or margin < cur.margin:
+        if name not in order or (margin, k) < order[name]:
+            order[name] = (margin, k)
             worst[name] = BoundCheck(name, margin >= 0, margin, detail, witness)
 
-    max_tau = max(tau)
     # Level k keeps the edges with tau >= k and the triangles whose smallest
-    # edge tau is >= k. deg and tri count them per vertex at level 1; each
-    # level up subtracts what left with the level below (drops[k - 1]).
+    # edge tau is >= k. One sweep from the top level down adds each level's
+    # edges to a union-find over the vertices, and its edges and triangles
+    # to the per-vertex degree, smallest edge id and triangle count.
+    max_tau = max(tau)
+    edges_at: list[list[int]] = [[] for _ in range(max_tau + 1)]
+    for e, t in enumerate(tau):
+        edges_at[t].append(e)
+    tris_at: list[list[np.ndarray]] = [[] for _ in range(max_tau + 1)]
+    tau_arr = np.asarray(tau)
+    for vertices, edges in _blocks(G):
+        level = tau_arr[edges].min(axis=1)
+        for lv in np.flatnonzero(np.bincount(level)).tolist():
+            tris_at[lv].append(vertices[level == lv])
+    parent = list(range(G.n + 1))
     deg = [0] * (G.n + 1)
+    low = [m] * (G.n + 1)
     tri = [0] * (G.n + 1)
-    deg_drops: list[list[int]] = [[] for _ in range(max_tau)]
-    tri_drops: list[list[int]] = [[] for _ in range(max_tau)]
-
-    def enter(counts, drops, level, vertices):
-        if level >= 1:
-            for x in vertices:
-                counts[x] += 1
-            if level < max_tau:
-                drops[level].extend(vertices)
-
-    eid = G._edge_ids
-
-    def enter_triangle(t):
-        u, v, w = t
-        enter(tri, tri_drops, min(tau[eid[u, v]], tau[eid[u, w]], tau[eid[v, w]]), t)
-
-    for e, uv in enumerate(G.edges):
-        enter(deg, deg_drops, tau[e], uv)
-    enumerate_triangles(G, enter_triangle)
-    for k in range(1, max_tau + 1):
-        for x in deg_drops[k - 1]:
-            deg[x] -= 1
-        for x in tri_drops[k - 1]:
-            tri[x] -= 1
-        # components by smallest vertex, so ties keep naming the same witness
-        comps = sorted(
-            (sorted({x for e in comp for x in G.edges[e]}), comp)
-            for comp in k_truss_components(G, k, labels)
-        )
-        for vs_c, edges_c in comps:
+    active: list[int] = []
+    for k in range(max_tau, 0, -1):
+        for e in edges_at[k]:
+            u, v = G.edges[e]
+            for x in (u, v):
+                if not deg[x]:
+                    active.append(x)
+                deg[x] += 1
+                low[x] = min(low[x], e)
+            parent[_find(parent, u)] = _find(parent, v)
+        for block in tris_at[k]:
+            for x in block.ravel().tolist():
+                tri[x] += 1
+        active.sort()
+        comps: dict[int, list[int]] = {}
+        for x in active:  # components by smallest vertex, vertices ascending
+            comps.setdefault(_find(parent, x), []).append(x)
+        for vs_c in comps.values():
             n_c = len(vs_c)
-            m_c = len(edges_c)
+            m_c = sum(deg[v] for v in vs_c) // 2
+            named = f"component of {_edge_name(G, min(low[v] for v in vs_c))}"
             # (b) component has at least k+2 vertices
             consider(
                 "component_vertex_count",
                 n_c - (k + 2),
                 f"k={k}: component has {n_c} vertices vs bound {k + 2}",
-                f"component of {_edge_name(G, edges_c[0])}",
+                named,
             )
             # (f) edge count: 2 m_c >= (n_c - 1)(k + 2)
             consider(
                 "component_edge_count",
                 2 * m_c - (n_c - 1) * (k + 2),
                 f"k={k}: 2*m_c = {2 * m_c} vs (n_c-1)(k+2) = {(n_c - 1) * (k + 2)}",
-                f"component of {_edge_name(G, edges_c[0])}",
+                named,
             )
             # (f) triangle count: 6 t_c >= (n_c - 1)(k + 2) k
             t_c = sum(tri[v] for v in vs_c) // 3
@@ -313,7 +316,7 @@ def bound_report(G: Graph, labels: TrussLabels) -> BoundReport:
                 "component_triangle_count",
                 6 * t_c - (n_c - 1) * (k + 2) * k,
                 f"k={k}: 6*t_c = {6 * t_c} vs (n_c-1)(k+2)k = {(n_c - 1) * (k + 2) * k}",
-                f"component of {_edge_name(G, edges_c[0])}",
+                named,
             )
             for v in vs_c:
                 # (a) degree inside the component

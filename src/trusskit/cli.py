@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from . import checks, generators, graphs, peel, triangles, witness
 from .generators import ConstructionError, InfeasibleError
 from .graphs import Graph, ParseError, ValidationError
-from .witness import DEFAULT_MEM_CAP, DEFAULT_SEED, ResourceLimitError, WitnessConfig
+from .witness import DEFAULT_SEED, ResourceLimitError, WitnessConfig
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -27,8 +27,6 @@ EXIT_VALIDATION = 4
 EXIT_INFEASIBLE = 5
 EXIT_RESOURCE = 6
 EXIT_IO = 7
-
-MEM_CAP_ENV = "TRUSSKIT_MEM_CAP"
 
 
 @dataclass
@@ -139,8 +137,7 @@ def _read_graph(cfg: RunConfig) -> Graph:
 def _mem_cap(params) -> int:
     if params.get("mem_cap") is not None:
         return params["mem_cap"]
-    env = os.environ.get(MEM_CAP_ENV)
-    return int(env) if env else DEFAULT_MEM_CAP
+    return triangles.mem_cap()
 
 
 def _sorted_edge_rows(G: Graph):

@@ -5,10 +5,12 @@ graph (sentinel -1 once removed). One kernel, ``_peel``, runs the rounds:
 a stack drives cascading removals inside a round, and the scan list is a
 plain array compacted lazily by swapping dead entries to the end while it
 is being traversed, so no linked structure is needed. The kernel is given
-the removal step that finds the triangles through a removed edge: here a
-scan of the smaller-degree endpoint's adjacency, which the exact
-decomposition and ``peel_to_fixed_point`` share; the truncated
-decomposition in ``witness`` passes one that reads the witness table.
+the removal step that finds the triangles through a removed edge. The
+exact decomposition and ``peel_to_fixed_point`` walk the edge's row of the
+edge -> triangle incidence built from the triangle listing and kill each
+live triangle once (the triangle-list peel of Wang & Cheng 2012), so a
+whole peel does O(T) removal work for T triangles; the truncated
+decomposition in ``witness`` passes a step that reads the witness table.
 Each decomposition is a single-threaded state machine; the input Graph is
 only read, so decompositions of different graphs can run concurrently.
 """
@@ -16,10 +18,11 @@ only read, so decompositions of different graphs can run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import isqrt
 
 from .graphs import Graph, ValidationError
-from .triangles import ordered_endpoints, triangle_counts
+from .triangles import TriangleCounts, ordered_endpoints, triangle_counts
 
 REMOVED = -1
 
@@ -67,28 +70,20 @@ def instrumented_truss_decomposition(
 ) -> tuple[TrussLabels, PeelStats]:
     """Compute exact tau(e) for every edge, with work counters.
 
-    Runs the peeling rounds with the neighbor-scan removal step; the round
-    counter never needs to pass sqrt(2m) or the largest initial count plus
-    one. ``check_invariants`` re-derives the residual counts from scratch
-    at round boundaries and asserts the stack discipline; intended for
-    tests, quadratic-ish cost.
+    Runs the peeling rounds with the triangle-incidence removal step; the
+    round counter never needs to pass sqrt(2m) or the largest initial
+    count plus one. ``check_invariants`` re-derives the residual counts
+    from the adjacency at round boundaries and asserts the stack
+    discipline; intended for tests, quadratic-ish cost.
     """
     m = G.m
     if m == 0:
         return TrussLabels([], [], None), PeelStats()
-    delta = list(triangle_counts(G).per_edge)
+    counts = triangle_counts(G)
+    delta = list(counts.per_edge)
     tau = [0] * m
-    remove = _scan_removal(G, delta)
-    check = None
-    if check_invariants:
-        scan_remove = remove
-
-        def remove(e: int, k: int, stack: list[int]) -> int:
-            assert delta[e] != REMOVED, f"edge {e} stacked twice"
-            return scan_remove(e, k, stack)
-
-        def check(k: int, stack: list[int]) -> None:
-            _assert_invariants(G, delta, stack, k)
+    remove = _triangle_removal(delta, counts)
+    check = partial(_assert_invariants, G, delta) if check_invariants else None
 
     k_stop = min(isqrt(2 * m), max(delta) + 1)
     residual, stats = _peel(delta, k_stop, remove, tau, check)
@@ -149,33 +144,28 @@ def _peel(delta, k_stop, remove, tau, check=None) -> tuple[int, PeelStats]:
     return residual, stats
 
 
-def _scan_removal(G: Graph, delta: list[int]):
-    """The removal step that finds the triangles through an edge by
-    scanning its smaller-degree endpoint's adjacency with pair lookups;
-    each adjacency entry is one step."""
-    edge_ids = G._edge_ids
-    adj = G.adj
+def _triangle_removal(delta: list[int], counts: TriangleCounts):
+    """The removal step that walks the removed edge's row of the
+    edge -> triangle incidence; each triangle still alive is killed once,
+    and each kill is one step, so a whole peel takes at most T steps."""
+    ptr, tri = counts.incidence
+    listing = counts.listing
+    alive = bytearray(b"\x01") * counts.total
 
     def remove(e: int, k: int, stack: list[int]) -> int:
-        u, v = ordered_endpoints(G, e)
+        assert delta[e] != REMOVED, f"edge {e} removed twice"
         delta[e] = REMOVED
-        nbrs = adj[u]
-        for w in nbrs:
-            if w == v:
-                continue
-            f_vw = edge_ids.get((v, w) if v < w else (w, v))
-            if f_vw is None or delta[f_vw] == REMOVED:
-                continue
-            f_uw = edge_ids[(u, w) if u < w else (w, u)]
-            if delta[f_uw] == REMOVED:
-                continue
-            delta[f_uw] -= 1
-            if delta[f_uw] == k - 1:
-                stack.append(f_uw)
-            delta[f_vw] -= 1
-            if delta[f_vw] == k - 1:
-                stack.append(f_vw)
-        return len(nbrs)
+        steps = 0
+        for t in tri[ptr[e] : ptr[e + 1]]:
+            if alive[t]:
+                alive[t] = 0
+                steps += 1
+                for f in listing[3 * t : 3 * t + 3]:
+                    if f != e:
+                        delta[f] -= 1
+                        if delta[f] == k - 1:
+                            stack.append(f)
+        return steps
 
     return remove
 
@@ -197,7 +187,7 @@ def _residual_counts(G: Graph, delta: list[int]) -> list[int]:
     return out
 
 
-def _assert_invariants(G, delta, stack, k):
+def _assert_invariants(G, delta, k, stack):
     """Every residual count is current, and every residual edge below the
     round threshold is on the stack (which is empty once a round ends)."""
     fresh = _residual_counts(G, delta)
@@ -216,21 +206,21 @@ def peel_to_fixed_point(
     k: int,
     *,
     pre_removed: tuple[int, ...] = (),
-    base_delta: list[int] | None = None,
+    counts: TriangleCounts | None = None,
 ) -> list[int]:
     """Edges surviving repeated deletion of edges with < k residual
     triangles, optionally with some edges deleted up front.
 
-    ``base_delta`` lets callers share one initial count across many calls;
-    it is copied, never mutated.
+    ``counts``, from ``triangle_counts(G)``, lets callers share one count,
+    listing and incidence across many calls; each call copies the counts.
     """
     m = G.m
     if m == 0:
         return []
-    delta = list(base_delta) if base_delta is not None else list(
-        triangle_counts(G).per_edge
-    )
-    remove = _scan_removal(G, delta)
+    if counts is None:
+        counts = triangle_counts(G)
+    delta = list(counts.per_edge)
+    remove = _triangle_removal(delta, counts)
     stack: list[int] = []
     for e in set(pre_removed):
         if not (0 <= e < m):
@@ -275,23 +265,19 @@ def k_truss_components(
             "exact memberships unknown above it"
         )
     keep = [e for e in range(G.m) if labels.tau[e] >= k]
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent = list(range(G.n + 1))
     for e in keep:
         u, v = G.edges[e]
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
+        parent[_find(parent, u)] = _find(parent, v)
     groups: dict[int, list[int]] = {}
-    for e in keep:
-        root = find(G.edges[e][0])
-        groups.setdefault(root, []).append(e)
-    return [tuple(groups[r]) for r in sorted(groups, key=lambda r: groups[r][0])]
+    for e in keep:  # first seen first, so ordered by smallest edge id
+        groups.setdefault(_find(parent, G.edges[e][0]), []).append(e)
+    return [tuple(g) for g in groups.values()]
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x

@@ -1,13 +1,43 @@
-"""Static triangle enumeration and exact triangle counting."""
+"""Triangle listing, exact triangle counts and triangle enumeration.
+
+Each triangle is listed once by the forward scheme (Chiba & Nishizeki
+1985; Latapy 2008): edges point up the (degree, id) ranking, and each pair
+of out-edges of a vertex (an out-wedge) closes a triangle if the edge
+between their heads exists. There are O(m * avg degeneracy) out-wedges,
+closed in numpy blocks of ``_WEDGE_BLOCK`` by a ``searchsorted`` on the
+sorted oriented edge keys. Counting keeps each triangle's edge ids, from
+which the peel builds its edge -> triangle incidence, under the memory cap;
+witness init and the bound report read the blocks as they come.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import os
+from array import array
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate, chain
+from typing import Callable, Iterator
+
+import numpy as np
 
 from .graphs import Graph
 
 Triangle = tuple[int, int, int]
+
+DEFAULT_MEM_CAP = 4 * 2**30  # bytes a triangle listing or witness init may allocate
+MEM_CAP_ENV = "TRUSSKIT_MEM_CAP"
+_WEDGE_BLOCK = 1 << 13  # out-wedges closed per numpy block
+
+
+class ResourceLimitError(Exception):
+    """Configuration would exceed the configured memory budget."""
+
+
+def mem_cap() -> int:
+    """Memory budget in bytes: ``TRUSSKIT_MEM_CAP`` if set, else 4 GiB."""
+    env = os.environ.get(MEM_CAP_ENV)
+    return int(env) if env else DEFAULT_MEM_CAP
 
 
 @dataclass
@@ -15,12 +45,109 @@ class TriangleCounts:
     """Exact triangle counts.
 
     ``per_edge[e]`` counts triangles through edge e; ``per_vertex`` is
-    1-based (slot 0 unused). Both sum to three times ``total``.
+    1-based (slot 0 unused). Both sum to three times ``total``. From
+    ``triangle_counts``, ``listing[3t:3t + 3]`` holds triangle t's edge ids
+    and ``mem_estimate`` bounds the bytes of listing and incidence.
     """
 
     per_edge: list[int]
     per_vertex: list[int]
     total: int
+    listing: array | None = field(default=None, repr=False, compare=False)
+    mem_estimate: int = field(default=0, repr=False, compare=False)
+
+    @cached_property
+    def incidence(self) -> tuple[array, array]:
+        """Edge -> triangle CSR ``(ptr, tri)``: the triangles through edge
+        e are ``tri[ptr[e]:ptr[e + 1]]``, ascending."""
+        ptr = array("q", accumulate(self.per_edge, initial=0))
+        rows = np.argsort(np.frombuffer(self.listing, np.int32), kind="stable")
+        rows //= 3
+        rows = rows.astype(np.int32)
+        return ptr, array("i", rows.tobytes())
+
+
+def _footprint(G: Graph, kept: int) -> int:
+    """Bytes that listing G and keeping ``kept`` triangles with their
+    incidence may allocate, as tracemalloc counts: arrays per vertex and
+    per edge, a block's temporaries, and per triangle the listing, the
+    incidence's int64 argsort and int32 rows and the peel's alive byte."""
+    return 64 * (G.n + 1) + 80 * G.m + 140 * _WEDGE_BLOCK + 56 * kept + 65536
+
+
+def _reserve(G: Graph, kept: int) -> int:
+    """``_footprint``, or ResourceLimitError if it is over ``mem_cap()``."""
+    need, cap = _footprint(G, kept), mem_cap()
+    if need > cap:
+        raise ResourceLimitError(
+            f"triangle listing needs ~{need} bytes (n={G.n}, m={G.m}, {kept} "
+            f"triangles kept), over the {cap}-byte cap; raise {MEM_CAP_ENV}"
+        )
+    return need
+
+
+def _blocks(G: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(opposite, edges)`` per wedge block, int64 (t, 3) arrays:
+    ``edges`` holds each closed triangle's edge ids and ``opposite``,
+    column for column, the vertex opposite each. Callers check the cap."""
+    n1, m = G.n + 1, G.m
+    if m == 0:
+        return
+    by_rank = np.argsort(np.fromiter(map(len, G.adj), np.int64, n1), kind="stable")
+    rank = np.argsort(by_rank, kind="stable")  # position in (degree, id) order
+    ends = rank[np.fromiter(chain.from_iterable(G.edges), np.int64, 2 * m)]
+    ends = ends.reshape(m, 2)
+    keys = ends.min(axis=1) * n1 + ends.max(axis=1)  # edge (lo, hi) in rank order
+    del ends
+    eid = np.argsort(keys, kind="stable")  # edge ids in (src, dst) order: the out-CSR
+    keys = keys[eid]
+    src, dst = np.divmod(keys, n1)
+    # slot s heads the later[s] wedges (s, t), t a later slot of its out-list
+    later = np.cumsum(np.bincount(src, minlength=n1))[src] - 1 - np.arange(m)
+    last = np.cumsum(later)  # wedges headed by slots up to s
+    for lo in range(0, int(last[-1]), _WEDGE_BLOCK):
+        w = np.arange(lo, min(lo + _WEDGE_BLOCK, int(last[-1])))
+        s = np.searchsorted(last, w, side="right")
+        t = w - last[s] + later[s] + s + 1
+        close = dst[s] * n1 + dst[t]
+        at = np.minimum(np.searchsorted(keys, close), m - 1)
+        hit = keys[at] == close
+        s, t, at = s[hit], t[hit], at[hit]
+        opposite = by_rank[np.stack([dst[t], dst[s], src[s]], axis=1)]
+        yield opposite, eid[np.stack([s, t, at], axis=1)]
+
+
+def enumerate_triangles(G: Graph, sink: Callable[[Triangle], None] | None = None) -> int:
+    """Stream every triangle of G to ``sink`` exactly once, as a vertex
+    triple sorted ascending; returns the count. Nothing is kept, so K_n's
+    Theta(n^3) triangles cost one block of memory."""
+    _reserve(G, 0)
+    count = 0
+    for vertices, _ in _blocks(G):
+        count += len(vertices)
+        if sink is not None:
+            vertices.sort(axis=1)
+            for t in vertices.tolist():
+                sink(tuple(t))
+    return count
+
+
+def triangle_counts(G: Graph) -> TriangleCounts:
+    """Exact per-edge and per-vertex triangle counts, with the listing.
+    Raises ResourceLimitError before keeping a block that takes the
+    estimate, which grows with triangles kept, not wedges, over the cap."""
+    need = _reserve(G, 0)
+    per_edge = np.zeros(G.m, dtype=np.int64)
+    per_vertex = np.zeros(G.n + 1, dtype=np.int64)
+    listing = array("i")
+    for vertices, edges in _blocks(G):
+        need = _reserve(G, len(listing) // 3 + len(edges))
+        per_edge += np.bincount(edges.ravel(), minlength=G.m)
+        per_vertex += np.bincount(vertices.ravel(), minlength=G.n + 1)
+        listing.frombytes(edges.astype(np.int32).view(np.uint8))
+    return TriangleCounts(
+        per_edge.tolist(), per_vertex.tolist(), len(listing) // 3, listing, need
+    )
 
 
 def ordered_endpoints(G: Graph, e: int) -> tuple[int, int]:
@@ -31,55 +158,3 @@ def ordered_endpoints(G: Graph, e: int) -> tuple[int, int]:
     if du < dv or (du == dv and u < v):
         return u, v
     return v, u
-
-
-def enumerate_triangles(G: Graph, sink: Callable[[Triangle], None] | None = None) -> int:
-    """Stream every triangle of G to ``sink`` exactly once; returns the count.
-
-    For each edge the lower-degree endpoint's adjacency is scanned, and a
-    triangle (u, v, w) is emitted only from the edge (u, v) whose missing
-    vertex w has the largest id, which makes each emission unique. Emitted
-    triples are sorted ascending. K_n has Theta(n^3) triangles, hence the
-    streaming interface: callers decide whether to materialize.
-    """
-    count = 0
-    edge_ids = G._edge_ids
-    for e in range(G.m):
-        u, v = G.edges[e]  # u < v
-        a, b = ordered_endpoints(G, e)
-        for w in G.adj[a]:
-            if w <= v:
-                continue  # need ID(w) > max(ID(u), ID(v)); u < v makes this v
-            if ((b, w) if b < w else (w, b)) in edge_ids:
-                count += 1
-                if sink is not None:
-                    sink((u, v, w))
-    return count
-
-
-def triangle_counts(G: Graph) -> TriangleCounts:
-    """Exact per-edge and per-vertex triangle counts.
-
-    Each edge's count is the size of the endpoint neighborhood
-    intersection, found by scanning the smaller adjacency list with O(1)
-    pair lookups, so the total work is proportional to the sum over edges
-    of the smaller endpoint degree.
-    """
-    m = G.m
-    per_edge = [0] * m
-    edge_ids = G._edge_ids
-    for e in range(m):
-        a, b = ordered_endpoints(G, e)
-        cnt = 0
-        for w in G.adj[a]:
-            if ((b, w) if b < w else (w, b)) in edge_ids:
-                cnt += 1
-        per_edge[e] = cnt
-    per_vertex = [0] * (G.n + 1)
-    for e, (u, v) in enumerate(G.edges):
-        per_vertex[u] += per_edge[e]
-        per_vertex[v] += per_edge[e]
-    # each triangle at v is seen by exactly two of v's edges
-    per_vertex = [x // 2 for x in per_vertex]
-    total = sum(per_edge) // 3
-    return TriangleCounts(per_edge, per_vertex, total)

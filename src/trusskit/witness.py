@@ -12,13 +12,13 @@ rows, keeping the table consistent without recomputation. The truncated
 decomposition is the exact peel's kernel (``peel._peel``) stopped after
 round k_trunc, with enumeration plus removal as its removal step.
 
-Direct initialization intersects each edge's endpoint neighbor sets (a
-scan of the smaller-degree side, as in triangle counting) and streams the
-(edge, witness) pairs through a fixed-size buffer; each flush adds every
-witness id to its edge's entries for the sets holding it. That is
-O(m * avg degeneracy + 3T * q * L) expected work for T triangles, with no
-dense adjacency matrix. ``init_witness`` refuses up front a configuration
-whose estimated footprint, every array init allocates, exceeds the cap.
+Direct initialization reads the triangle listing block by block: each
+triangle's vertex witnesses the edge opposite it, and every chunk of
+(edge, witness) pairs adds each witness id to its edge's entries for the
+sets holding it. That is O(m * avg degeneracy + 3T * q * L) expected work
+for T triangles, with no dense adjacency matrix. ``init_witness`` refuses
+up front a configuration whose estimated footprint, every array init
+allocates, exceeds the cap.
 
 The state is single-threaded and mutable; the underlying Graph is shared
 read-only.
@@ -33,18 +33,14 @@ import numpy as np
 
 from .graphs import Graph, ValidationError
 from .peel import REMOVED, TrussLabels, _peel
-from .triangles import ordered_endpoints
+from .triangles import DEFAULT_MEM_CAP, ResourceLimitError, ordered_endpoints
+from .triangles import _blocks, _footprint as _listing_footprint
 
 DEFAULT_SEED = 1729
-DEFAULT_MEM_CAP = 4 * 2**30  # bytes init_witness may allocate in the CLI
 
-_INIT_CHUNK = 1024  # (edge, witness) pairs buffered per flush during direct init
+_INIT_CHUNK = 1024  # (edge, witness) pairs folded per flush during direct init
 _DRAW_BLOCK = 1 << 16  # float64 draws per block when sampling set membership
 _INIT_MODES = ("direct", "matrix")
-
-
-class ResourceLimitError(Exception):
-    """Configuration would exceed the configured memory budget."""
 
 
 @dataclass(frozen=True)
@@ -142,7 +138,7 @@ def _resolve(G: Graph, cfg: WitnessConfig) -> tuple[int, float, float, float]:
     return L, q, a, b
 
 
-def _footprint(G: Graph, L: int, degrees: np.ndarray, heavy: np.ndarray, mode: str) -> int:
+def _footprint(G: Graph, L: int, heavy: np.ndarray, mode: str) -> int:
     """Upper bound in bytes on what init_witness allocates, as tracemalloc
     counts it (array data plus object and slot overheads).
 
@@ -150,18 +146,15 @@ def _footprint(G: Graph, L: int, degrees: np.ndarray, heavy: np.ndarray, mode: s
     at q = 1; the float64 draw, taken in row blocks of about _DRAW_BLOCK
     values and so never over 8L per vertex, is freed before the lists
     exist) and small arrays; per edge the table row and count. Direct
-    mode: neighbor sets (<= 128 bytes per entry), one common-neighbor
-    set, and a buffer of at most _INIT_CHUNK + max-degree pairs, each
-    with list and index bookkeeping and, per set holding its witness, six
-    int64 temporaries. Matrix mode: five float64 h x h arrays for h heavy
-    vertices and index lists over the heavy-heavy edges.
+    mode: the triangle listing, keeping no triangles, and a chunk of
+    _INIT_CHUNK pairs, each with index bookkeeping and, per set holding
+    its witness, six int64 temporaries. Matrix mode: five float64 h x h
+    arrays for h heavy vertices and index lists over the heavy-heavy edges.
     """
     n1, m = G.n + 1, G.m
     total = 9 * n1 * L + 160 * n1 + 8 * m * L + 8 * m + 65536
     if mode == "direct":
-        dmax = int(degrees.max())
-        pairs = min(_INIT_CHUNK + dmax, m * dmax)
-        total += 216 * n1 + 256 * m + 128 * dmax + pairs * (48 * L + 160)
+        total += _listing_footprint(G, 0) + _INIT_CHUNK * (48 * L + 160)
     else:
         h = int(np.count_nonzero(heavy))
         total += 40 * h * h + 160 * min(m, h * (h - 1) // 2) + 256 * h
@@ -171,14 +164,13 @@ def _footprint(G: Graph, L: int, degrees: np.ndarray, heavy: np.ndarray, mode: s
 def init_witness(G: Graph, cfg: WitnessConfig, _xmat=None) -> WitnessState:
     """Sample the random sets and build exact tables for the full graph.
 
-    Direct mode intersects each edge's endpoint neighbor sets and adds
-    every common neighbor's id to the row entries of the sets holding it,
-    never forming a dense adjacency matrix. Matrix mode splits vertices
-    into heavy and light at degree m^(1-b), finds triangles with a light
-    vertex by scanning light vertices' edge pairs, and heavy-only
-    triangles through classical (cubic) matrix products on the heavy x
-    heavy block, built from the heavy vertices' adjacency lists. Both
-    produce identical tables.
+    Direct mode adds each triangle vertex's id to the row entries of the
+    opposite edge for the sets holding it, never forming a dense adjacency
+    matrix. Matrix mode splits vertices into heavy and light at degree
+    m^(1-b), finds triangles with a light vertex by scanning light
+    vertices' edge pairs, and heavy-only triangles through classical
+    (cubic) matrix products on the heavy x heavy block, built from the
+    heavy vertices' adjacency lists. Both produce identical tables.
 
     Raises ResourceLimitError, before allocating, when the ``_footprint``
     estimate (all of init, not just the table) exceeds
@@ -189,7 +181,7 @@ def init_witness(G: Graph, cfg: WitnessConfig, _xmat=None) -> WitnessState:
     n, m = G.n, G.m
     degrees = np.fromiter(map(len, G.adj), dtype=np.int64, count=n + 1)
     heavy = degrees > m ** (1.0 - b)
-    needed = _footprint(G, L, degrees, heavy, cfg.init_mode)
+    needed = _footprint(G, L, heavy, cfg.init_mode)
     if needed > cfg.mem_cap_bytes:
         raise ResourceLimitError(
             f"witness init needs ~{needed} bytes ({m} edges x {L} sets, "
@@ -225,34 +217,20 @@ def init_witness(G: Graph, cfg: WitnessConfig, _xmat=None) -> WitnessState:
     return WitnessState(G, cfg, L, q, a, b, xmat, sets, S, delta, heavy, needed)
 
 
-def _init_direct(
-    G: Graph, indptr: np.ndarray, set_ids: np.ndarray, L: int
-) -> tuple[np.ndarray, np.ndarray]:
-    m = G.m
-    S = np.zeros((m, L), dtype=np.int64)
-    delta = np.zeros(m, dtype=np.int64)
-    nbrs = [set(a) for a in G.adj]
-    es: list[int] = []
-    ws: list[int] = []  # ws[i] is a common neighbor of the endpoints of edge es[i]
-    for e, (u, v) in enumerate(G.edges):
-        common = nbrs[u] & nbrs[v]  # iterates the smaller set, probes the other
-        if common:
-            es.extend([e] * len(common))
-            ws.extend(common)
-            if len(es) >= _INIT_CHUNK:
-                _flush_pairs(S, delta, indptr, set_ids, es, ws)
-                es.clear()
-                ws.clear()
-    if es:
-        _flush_pairs(S, delta, indptr, set_ids, es, ws)
+def _init_direct(G, indptr, set_ids, L) -> tuple[np.ndarray, np.ndarray]:
+    S = np.zeros((G.m, L), dtype=np.int64)
+    delta = np.zeros(G.m, dtype=np.int64)
+    for opposite, edges in _blocks(G):
+        es, ws = edges.ravel(), opposite.ravel()
+        for lo in range(0, len(es), _INIT_CHUNK):
+            hi = lo + _INIT_CHUNK
+            _flush_pairs(S, delta, indptr, set_ids, es[lo:hi], ws[lo:hi])
     return S, delta
 
 
-def _flush_pairs(S, delta, indptr, set_ids, es, ws) -> None:
-    """Fold buffered (edge e, witness w) pairs into the counts and the
-    table: delta[e] += 1, and S[e, l] += w for every set X_l holding w."""
-    E = np.array(es, dtype=np.int64)
-    W = np.array(ws, dtype=np.int64)
+def _flush_pairs(S, delta, indptr, set_ids, E, W) -> None:
+    """Fold (edge e, witness w) pairs into the counts and the table:
+    delta[e] += 1, and S[e, l] += w for every set X_l holding w."""
     np.add.at(delta, E, 1)
     lo = indptr[W]
     lens = indptr[W + 1] - lo

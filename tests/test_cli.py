@@ -6,7 +6,16 @@ import sys
 import tracemalloc
 from itertools import combinations
 
-from trusskit import WitnessConfig, clique_chain, gnp_random, init_witness
+import pytest
+
+from trusskit import (
+    WitnessConfig,
+    clique_chain,
+    from_edges,
+    gnp_random,
+    init_witness,
+    triangle_counts,
+)
 from trusskit.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -244,6 +253,26 @@ def test_mem_cap_covers_more_than_the_table(tmp_path):
         g.serialize(),
     )
     assert code == EXIT_RESOURCE and out == ""
+
+
+@pytest.mark.parametrize(
+    "args, free_exit",
+    [(["truss"], EXIT_OK), (["verify", "critical", "--k", "4"], EXIT_VERIFY_FAILED)],
+)
+def test_listing_over_mem_cap_exits_6(tmp_path, monkeypatch, capsys, args, free_exit):
+    k30 = from_edges(30, combinations(range(1, 31), 2))
+    estimate = triangle_counts(k30).mem_estimate
+    cap = estimate - 1
+    monkeypatch.setenv("TRUSSKIT_MEM_CAP", str(cap))
+    code, out = run_cli(args, tmp_path, k30.serialize())
+    err = capsys.readouterr().err
+    assert code == EXIT_RESOURCE and out == ""
+    assert f"~{estimate} bytes" in err and f"{cap}-byte cap" in err
+    assert sorted(os.listdir(tmp_path)) == ["in.txt"]  # no output, no temp file
+    # more wedges than K_30 has triangles, but none closes: under the cap
+    k25_25 = from_edges(50, [(a, b) for a in range(1, 26) for b in range(26, 51)])
+    code, out = run_cli(args, tmp_path, k25_25.serialize())
+    assert code == free_exit and out
 
 
 def test_module_entry_point(tmp_path):

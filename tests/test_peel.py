@@ -15,6 +15,7 @@ from trusskit import (
     k_truss_components,
     max_k_truss,
     oracle_truss_decomposition,
+    triangle_counts,
     truss_decomposition,
 )
 from trusskit.graphs import degeneracy
@@ -143,6 +144,8 @@ def test_work_accounting(G):
     labels, stats = instrumented_truss_decomposition(G)
     assert stats.stack_pushes <= G.m
     assert stats.scan_steps <= sum(t + 1 for t in labels.tau) + G.m
+    # each triangle dies once, with the first of its edges to go
+    assert stats.removal_steps == triangle_counts(G).total
     assert stats.removal_steps <= sum(min(G.degree(u), G.degree(v)) for u, v in G.edges)
 
 

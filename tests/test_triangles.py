@@ -1,14 +1,26 @@
 """Triangle enumeration and counting against the all-triples scan."""
 
+import random
+import tracemalloc
 from itertools import combinations
 
+import pytest
 from hypothesis import given
 
-from trusskit import enumerate_triangles, from_edges, gnp_random, triangle_counts
+from trusskit import (
+    ResourceLimitError,
+    brute_force_triangles,
+    enumerate_triangles,
+    from_edges,
+    gnp_random,
+    triangle_counts,
+)
+from trusskit import triangles
 from trusskit.triangles import ordered_endpoints
 
 from .oracles import triple_scan_triangles
 from .strategies import small_graphs
+from .test_witness import skewed
 
 
 def complete(n):
@@ -100,3 +112,92 @@ def test_scan_side_has_smaller_degree(G):
 
 def test_streaming_sink_not_required():
     assert enumerate_triangles(complete(5)) == 10
+
+
+# -- the blocked listing ------------------------------------------------------
+
+
+def star(n):
+    return from_edges(n, [(1, i) for i in range(2, n + 1)])
+
+
+def degree_ties():
+    """Circulant C_13(1, 2, 3) under shuffled ids: 6-regular, so every
+    edge's orientation falls to the id tie-break."""
+    ids = list(range(1, 14))
+    random.Random(5).shuffle(ids)
+    pairs = [(ids[i], ids[(i + d) % 13]) for i in range(13) for d in (1, 2, 3)]
+    return from_edges(13, pairs)
+
+
+def most_wedges_at_one_vertex(G):
+    """Out-wedges of the busiest vertex when edges point up (degree, id)."""
+    rank = {v: (G.degree(v), v) for v in G.vertices}
+    outs = [sum(rank[w] > rank[v] for w in G.adj[v]) for v in G.vertices]
+    return max((d * (d - 1) // 2 for d in outs), default=0)
+
+
+def check_listing(G):
+    ref = brute_force_triangles(G)
+    tc = triangle_counts(G)
+    assert tc.per_edge == ref.per_edge
+    assert tc.per_vertex == ref.per_vertex
+    assert tc.total == ref.total
+    tris = collect(G)
+    assert sorted(tris) == triple_scan_triangles(G)  # each once, ascending
+
+
+BLOCKS = (1, 7)  # one wedge per block, and a small prime
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize(
+    "G",
+    [complete(8), star(9), from_edges(0, []), degree_ties()],
+    ids=["K8", "star", "empty", "ties"],
+)
+def test_listing_across_block_boundaries(G, block, monkeypatch):
+    monkeypatch.setattr(triangles, "_WEDGE_BLOCK", block)
+    check_listing(G)
+
+
+def test_one_vertex_spans_several_blocks():
+    for G in (complete(8), degree_ties()):
+        assert most_wedges_at_one_vertex(G) > max(BLOCKS)
+
+
+@given(small_graphs())
+def test_listing_across_block_boundaries_on_small_graphs(G):
+    for block in BLOCKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(triangles, "_WEDGE_BLOCK", block)
+            check_listing(G)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [skewed(400, 3000, seed=4), complete(40), star(300), gnp_random(80, 0.2, seed=6)],
+    ids=["skewed", "K40", "star", "gnp"],
+)
+def test_listing_peak_within_mem_estimate(g, monkeypatch):
+    tracemalloc.start()
+    try:
+        tc = triangle_counts(g)
+        tc.incidence
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= tc.mem_estimate
+    monkeypatch.setenv("TRUSSKIT_MEM_CAP", str(tc.mem_estimate - 1))
+    with pytest.raises(ResourceLimitError, match=str(tc.mem_estimate - 1)):
+        triangle_counts(g)
+
+
+def test_incidence_rows_hold_each_edges_triangles():
+    g = gnp_random(40, 0.3, seed=3)
+    tc = triangle_counts(g)
+    ptr, tri = tc.incidence
+    for e in range(g.m):
+        row = list(tri[ptr[e] : ptr[e + 1]])
+        assert row == sorted(row) and len(row) == tc.per_edge[e]
+        assert all(e in tc.listing[3 * t : 3 * t + 3] for t in row)
