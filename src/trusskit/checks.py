@@ -101,7 +101,7 @@ def is_k_truss(G: Graph, k: int) -> bool:
         return True
     if any(G.degree(v) == 0 for v in G.vertices):
         return False
-    return min(triangle_counts(G).per_edge) >= k
+    return min(triangle_counts(G, keep_listing=False).per_edge) >= k
 
 
 def is_critical_k_truss(G: Graph, k: int) -> bool:

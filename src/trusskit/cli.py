@@ -150,7 +150,7 @@ def _sorted_edge_rows(G: Graph):
 
 def _cmd_stats(cfg, G, out):
     report = graphs.degeneracy(G)
-    tc = triangles.triangle_counts(G)
+    tc = triangles.triangle_counts(G, keep_listing=False)
     avg = report.average_degeneracy
     out.write(f"n\t{G.n}\n")
     out.write(f"m\t{G.m}\n")
@@ -162,7 +162,7 @@ def _cmd_stats(cfg, G, out):
 
 def _cmd_triangles(cfg, G, out):
     if cfg.params.get("counts"):
-        tc = triangles.triangle_counts(G)
+        tc = triangles.triangle_counts(G, keep_listing=False)
         for u, v, e in _sorted_edge_rows(G):
             out.write(f"{G.labels[u]}\t{G.labels[v]}\t{tc.per_edge[e]}\n")
     else:

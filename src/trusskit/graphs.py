@@ -78,21 +78,12 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self._edge_ids
 
     def edge_id(self, u: int, v: int) -> int | None:
         """Dense edge id for the unordered pair, or None if absent."""
         return self._edge_ids.get((u, v) if u < v else (v, u))
-
-    def endpoints(self, e: int) -> tuple[int, int]:
-        return self.edges[e]
-
-    def label(self, v: int) -> str:
-        return self.labels[v]
 
     def serialize(self) -> str:
         """Edge-list text, one "u v" line per edge sorted by (min, max) id."""

@@ -5,9 +5,10 @@ Each triangle is listed once by the forward scheme (Chiba & Nishizeki
 of out-edges of a vertex (an out-wedge) closes a triangle if the edge
 between their heads exists. There are O(m * avg degeneracy) out-wedges,
 closed in numpy blocks of ``_WEDGE_BLOCK`` by a ``searchsorted`` on the
-sorted oriented edge keys. Counting keeps each triangle's edge ids, from
-which the peel builds its edge -> triangle incidence, under the memory cap;
-witness init and the bound report read the blocks as they come.
+sorted oriented edge keys. Counting for the peel keeps each triangle's
+edge ids, from which it builds its edge -> triangle incidence, under the
+memory cap; count-only callers keep none, and witness init and the bound
+report read the blocks as they come.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class TriangleCounts:
 
     ``per_edge[e]`` counts triangles through edge e; ``per_vertex`` is
     1-based (slot 0 unused). Both sum to three times ``total``. From
-    ``triangle_counts``, ``listing[3t:3t + 3]`` holds triangle t's edge ids
-    and ``mem_estimate`` bounds the bytes of listing and incidence.
+    ``triangle_counts``, ``listing[3t:3t + 3]`` holds triangle t's edge ids,
+    if kept, and ``mem_estimate`` bounds the bytes of listing and incidence.
     """
 
     per_edge: list[int]
@@ -132,22 +133,25 @@ def enumerate_triangles(G: Graph, sink: Callable[[Triangle], None] | None = None
     return count
 
 
-def triangle_counts(G: Graph) -> TriangleCounts:
-    """Exact per-edge and per-vertex triangle counts, with the listing.
-    Raises ResourceLimitError before keeping a block that takes the
-    estimate, which grows with triangles kept, not wedges, over the cap."""
+def triangle_counts(G: Graph, *, keep_listing: bool = True) -> TriangleCounts:
+    """Exact per-edge and per-vertex triangle counts, with the listing the
+    peel needs unless ``keep_listing`` is false. Raises ResourceLimitError
+    before keeping a block that takes the estimate, which grows with
+    triangles kept, not wedges, over the cap; without the listing only
+    the fixed part is reserved."""
     need = _reserve(G, 0)
     per_edge = np.zeros(G.m, dtype=np.int64)
     per_vertex = np.zeros(G.n + 1, dtype=np.int64)
-    listing = array("i")
+    listing = array("i") if keep_listing else None
+    total = 0
     for vertices, edges in _blocks(G):
-        need = _reserve(G, len(listing) // 3 + len(edges))
+        total += len(edges)
+        if listing is not None:
+            need = _reserve(G, total)
+            listing.frombytes(edges.astype(np.int32).view(np.uint8))
         per_edge += np.bincount(edges.ravel(), minlength=G.m)
         per_vertex += np.bincount(vertices.ravel(), minlength=G.n + 1)
-        listing.frombytes(edges.astype(np.int32).view(np.uint8))
-    return TriangleCounts(
-        per_edge.tolist(), per_vertex.tolist(), len(listing) // 3, listing, need
-    )
+    return TriangleCounts(per_edge.tolist(), per_vertex.tolist(), total, listing, need)
 
 
 def ordered_endpoints(G: Graph, e: int) -> tuple[int, int]:

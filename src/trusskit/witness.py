@@ -12,13 +12,17 @@ rows, keeping the table consistent without recomputation. The truncated
 decomposition is the exact peel's kernel (``peel._peel``) stopped after
 round k_trunc, with enumeration plus removal as its removal step.
 
-Direct initialization reads the triangle listing block by block: each
+Initialization reads the triangle listing block by block: each
 triangle's vertex witnesses the edge opposite it, and every chunk of
 (edge, witness) pairs adds each witness id to its edge's entries for the
 sets holding it. That is O(m * avg degeneracy + 3T * q * L) expected work
-for T triangles, with no dense adjacency matrix. ``init_witness`` refuses
-up front a configuration whose estimated footprint, every array init
-allocates, exceeds the cap.
+for T triangles, with no dense adjacency matrix. Matrix mode, after the
+heavy/light triangle generation of Bjorklund et al. (2014), leaves the
+triangles whose three vertices all have high degree ("heavy") out of
+that fold and adds them through matrix products on the heavy x heavy
+block instead.
+``init_witness`` refuses up front a configuration whose estimated
+footprint, every array init allocates, exceeds the cap.
 
 The state is single-threaded and mutable; the underlying Graph is shared
 read-only.
@@ -28,17 +32,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .graphs import Graph, ValidationError
 from .peel import REMOVED, TrussLabels, _peel
 from .triangles import DEFAULT_MEM_CAP, ResourceLimitError, ordered_endpoints
-from .triangles import _blocks, _footprint as _listing_footprint
+from .triangles import _WEDGE_BLOCK, _blocks, _footprint as _listing_footprint
 
 DEFAULT_SEED = 1729
 
-_INIT_CHUNK = 1024  # (edge, witness) pairs folded per flush during direct init
+_INIT_CHUNK = 1024  # (edge, witness) pairs folded per flush during init
 _DRAW_BLOCK = 1 << 16  # float64 draws per block when sampling set membership
 _INIT_MODES = ("direct", "matrix")
 
@@ -69,10 +74,13 @@ class EnumerationOutcome:
 
     ``witnesses`` holds the third vertices; every entry is a verified
     residual common neighbor, and without fallback their number equals
-    the edge's residual count.
+    the edge's residual count. ``edges[i]`` holds the ids of the residual
+    edges (u, w) and (v, w) for w = ``witnesses[i]``, (u, v) the edge's
+    endpoints in ``G.edges`` order.
     """
 
     witnesses: list[int]
+    edges: list[tuple[int, int]]
     used_fallback: bool
     candidates_tested: int
 
@@ -80,18 +88,15 @@ class EnumerationOutcome:
 class WitnessState:
     """Mutable decomposition state: random sets, witness table, counts."""
 
-    def __init__(self, G, cfg, L, q, a, b, xmat, sets, S, delta, heavy, mem_estimate):
+    def __init__(self, G, cfg, L, q, xmat, sets, S, delta, mem_estimate):
         self.G = G
         self.cfg = cfg
         self.L = L
         self.q = q
-        self.a = a
-        self.b = b
         self.xmat = xmat  # (n+1, L) bool; row 0 all False
         self.sets = sets  # sets[v] = indices l with v in X_l
         self.S = S  # (m, L) int64
         self.delta = delta  # (m,) int64, REMOVED sentinel
-        self.heavy = heavy  # (n+1,) bool
         self.mem_estimate = mem_estimate  # bytes; upper bound on init's peak
         self._stamp = np.zeros(G.n + 1, dtype=np.int64)
         self._tick = 0
@@ -109,7 +114,7 @@ def _truncation_cap(m: int) -> int:
     return cap
 
 
-def _resolve(G: Graph, cfg: WitnessConfig) -> tuple[int, float, float, float]:
+def _resolve(G: Graph, cfg: WitnessConfig) -> tuple[int, float, float]:
     n, m = G.n, G.m
     k = cfg.k_trunc
     if k < 1:
@@ -135,53 +140,55 @@ def _resolve(G: Graph, cfg: WitnessConfig) -> tuple[int, float, float, float]:
     b = cfg.b if cfg.b is not None else max(a, 2.0 / 3.0)
     if not (a - 1e-12 <= b <= 1.0 + 1e-12):
         raise ValidationError(f"b={b} outside [a, 1] with a={a:.4f}")
-    return L, q, a, b
+    return L, q, b
 
 
-def _footprint(G: Graph, L: int, heavy: np.ndarray, mode: str) -> int:
+def _footprint(G: Graph, L: int, heavy: np.ndarray | None) -> int:
     """Upper bound in bytes on what init_witness allocates, as tracemalloc
     counts it (array data plus object and slot overheads).
 
-    Always: per vertex the bool membership and the membership lists (9L
-    at q = 1; the float64 draw, taken in row blocks of about _DRAW_BLOCK
-    values and so never over 8L per vertex, is freed before the lists
-    exist) and small arrays; per edge the table row and count. Direct
-    mode: the triangle listing, keeping no triangles, and a chunk of
-    _INIT_CHUNK pairs, each with index bookkeeping and, per set holding
-    its witness, six int64 temporaries. Matrix mode: five float64 h x h
-    arrays for h heavy vertices and index lists over the heavy-heavy edges.
+    Per vertex the bool membership and the membership lists (9L at q = 1;
+    the float64 draw, taken in row blocks of about _DRAW_BLOCK values and
+    so never over 8L per vertex, is freed before the lists exist) and
+    small arrays; per edge the table row and count; the triangle listing,
+    keeping no triangles, and a chunk of _INIT_CHUNK pairs, each with
+    index bookkeeping and, per set holding its witness, six int64
+    temporaries. Matrix mode (``heavy`` given) adds one block's copy
+    without its all-heavy triangles, five float64 h x h arrays for h heavy
+    vertices and index arrays over the heavy-heavy edges; its edge-end and
+    per-vertex arrays fit in the listing's share, freed before the products.
     """
     n1, m = G.n + 1, G.m
     total = 9 * n1 * L + 160 * n1 + 8 * m * L + 8 * m + 65536
-    if mode == "direct":
-        total += _listing_footprint(G, 0) + _INIT_CHUNK * (48 * L + 160)
-    else:
+    total += _listing_footprint(G, 0) + _INIT_CHUNK * (48 * L + 160)
+    if heavy is not None:
         h = int(np.count_nonzero(heavy))
-        total += 40 * h * h + 160 * min(m, h * (h - 1) // 2) + 256 * h
+        total += 56 * _WEDGE_BLOCK + 40 * h * h + 64 * min(m, h * (h - 1) // 2)
     return total
 
 
 def init_witness(G: Graph, cfg: WitnessConfig, _xmat=None) -> WitnessState:
     """Sample the random sets and build exact tables for the full graph.
 
-    Direct mode adds each triangle vertex's id to the row entries of the
-    opposite edge for the sets holding it, never forming a dense adjacency
-    matrix. Matrix mode splits vertices into heavy and light at degree
-    m^(1-b), finds triangles with a light vertex by scanning light
-    vertices' edge pairs, and heavy-only triangles through classical
-    (cubic) matrix products on the heavy x heavy block, built from the
-    heavy vertices' adjacency lists. Both produce identical tables.
+    Both modes fold the triangle listing: each triangle vertex's id goes
+    into the row entries of the opposite edge for the sets holding it,
+    with no dense adjacency matrix. Matrix mode splits vertices into heavy
+    and light at degree m^(1-b), skips the triangles whose three vertices
+    are heavy in the fold, and adds those through classical (cubic) matrix
+    products on the heavy x heavy block. Both produce identical tables.
 
     Raises ResourceLimitError, before allocating, when the ``_footprint``
     estimate (all of init, not just the table) exceeds
     ``cfg.mem_cap_bytes``; the returned state keeps it as
     ``mem_estimate``. ``_xmat`` injects explicit membership for tests.
     """
-    L, q, a, b = _resolve(G, cfg)
+    L, q, b = _resolve(G, cfg)
     n, m = G.n, G.m
-    degrees = np.fromiter(map(len, G.adj), dtype=np.int64, count=n + 1)
-    heavy = degrees > m ** (1.0 - b)
-    needed = _footprint(G, L, heavy, cfg.init_mode)
+    heavy = None
+    if cfg.init_mode == "matrix":
+        degrees = np.fromiter(map(len, G.adj), dtype=np.int64, count=n + 1)
+        heavy = degrees > m ** (1.0 - b)
+    needed = _footprint(G, L, heavy)
     if needed > cfg.mem_cap_bytes:
         raise ResourceLimitError(
             f"witness init needs ~{needed} bytes ({m} edges x {L} sets, "
@@ -210,22 +217,19 @@ def init_witness(G: Graph, cfg: WitnessConfig, _xmat=None) -> WitnessState:
     indptr = np.zeros(n + 2, dtype=np.int64)
     np.cumsum(np.count_nonzero(xmat, axis=1), out=indptr[1:])
     sets = np.split(set_ids, indptr[1:-1])
-    if cfg.init_mode == "direct":
-        S, delta = _init_direct(G, indptr, set_ids, L)
-    else:
-        S, delta = _init_matrix(G, xmat, sets, heavy)
-    return WitnessState(G, cfg, L, q, a, b, xmat, sets, S, delta, heavy, needed)
-
-
-def _init_direct(G, indptr, set_ids, L) -> tuple[np.ndarray, np.ndarray]:
-    S = np.zeros((G.m, L), dtype=np.int64)
-    delta = np.zeros(G.m, dtype=np.int64)
+    S = np.zeros((m, L), dtype=np.int64)
+    delta = np.zeros(m, dtype=np.int64)
     for opposite, edges in _blocks(G):
+        if heavy is not None:
+            light = ~heavy[opposite].all(axis=1)
+            opposite, edges = opposite[light], edges[light]
         es, ws = edges.ravel(), opposite.ravel()
         for lo in range(0, len(es), _INIT_CHUNK):
             hi = lo + _INIT_CHUNK
             _flush_pairs(S, delta, indptr, set_ids, es[lo:hi], ws[lo:hi])
-    return S, delta
+    if heavy is not None:
+        _add_heavy_triangles(G, xmat, heavy, S, delta)
+    return WitnessState(G, cfg, L, q, xmat, sets, S, delta, needed)
 
 
 def _flush_pairs(S, delta, indptr, set_ids, E, W) -> None:
@@ -241,63 +245,29 @@ def _flush_pairs(S, delta, indptr, set_ids, E, W) -> None:
     np.add.at(S.reshape(-1), flat, np.repeat(W, lens))
 
 
-def _init_matrix(
-    G: Graph, xmat: np.ndarray, sets: list[np.ndarray], heavy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    m, L = G.m, xmat.shape[1]
-    S = np.zeros((m, L), dtype=np.int64)
-    delta = np.zeros(m, dtype=np.int64)
-    if m == 0:
-        return S, delta
-    eid = G.edge_id
-    # triangles with at least one light vertex: loop light vertices over
-    # incident edge pairs, handling each triangle at its smallest light vertex
-    for w in G.vertices:
-        if heavy[w]:
+def _add_heavy_triangles(G, xmat, heavy, S, delta) -> None:
+    """Add the triangles whose three vertices are heavy: with A the heavy x
+    heavy adjacency, (A A)[u, v] counts them through edge (u, v), and
+    (A_l (w * A_l)^T)[u, v], A_l keeping the columns of heavy w in X_l,
+    sums their witness ids for set l."""
+    ends = np.fromiter(chain.from_iterable(G.edges), np.int64, 2 * G.m)
+    ends = ends.reshape(G.m, 2)
+    hh = np.flatnonzero(heavy[ends].all(axis=1))
+    if hh.size == 0:
+        return
+    hv = np.flatnonzero(heavy)
+    iu, iv = (np.cumsum(heavy) - 1)[ends[hh]].T  # positions among heavy vertices
+    del ends
+    A = np.zeros((hv.size, hv.size))
+    A[iu, iv] = A[iv, iu] = 1.0
+    delta[hh] += np.rint((A @ A)[iu, iv]).astype(np.int64)
+    ids = hv.astype(np.float64)
+    for ell in range(S.shape[1]):
+        cols = np.flatnonzero(xmat[hv, ell])
+        if cols.size == 0:
             continue
-        nbrs = G.adj[w]
-        d = len(nbrs)
-        for i in range(d):
-            u = nbrs[i]
-            if not heavy[u] and u < w:
-                continue
-            for j in range(i + 1, d):
-                v = nbrs[j]
-                if not heavy[v] and v < w:
-                    continue
-                e_uv = eid(u, v)
-                if e_uv is None:
-                    continue
-                e_uw = eid(u, w)
-                e_vw = eid(v, w)
-                delta[e_uv] += 1
-                delta[e_uw] += 1
-                delta[e_vw] += 1
-                S[e_uv, sets[w]] += w
-                S[e_uw, sets[v]] += v
-                S[e_vw, sets[u]] += u
-    # heavy-only triangles via products on the heavy x heavy block
-    hh_edges = [e for e, (u, v) in enumerate(G.edges) if heavy[u] and heavy[v]]
-    if hh_edges:
-        hv = np.flatnonzero(heavy)
-        pos = {int(v): i for i, v in enumerate(hv)}
-        Ah = np.zeros((hv.size, hv.size))
-        for i, v in enumerate(hv.tolist()):
-            Ah[i, [pos[w] for w in G.adj[v] if w in pos]] = 1.0
-        iu = np.array([pos[G.edges[e][0]] for e in hh_edges])
-        iv = np.array([pos[G.edges[e][1]] for e in hh_edges])
-        counts = Ah @ Ah.T
-        delta[hh_edges] += np.rint(counts[iu, iv]).astype(np.int64)
-        ids_h = hv.astype(np.float64)
-        for ell in range(L):
-            cols = np.flatnonzero(xmat[hv, ell])
-            if cols.size == 0:
-                continue
-            B = Ah[:, cols]
-            Bw = B * ids_h[cols]  # weight columns by the witness id
-            contrib = B @ Bw.T
-            S[hh_edges, ell] += np.rint(contrib[iu, iv]).astype(np.int64)
-    return S, delta
+        B = A[:, cols]
+        S[hh, ell] += np.rint((B @ (B * ids[cols]).T)[iu, iv]).astype(np.int64)
 
 
 def enumerate_residual(state: WitnessState, e: int) -> EnumerationOutcome:
@@ -322,6 +292,7 @@ def enumerate_residual(state: WitnessState, e: int) -> EnumerationOutcome:
     stamp = state._stamp
     eid = G.edge_id
     witnesses: list[int] = []
+    edges: list[tuple[int, int]] = []
     tested = 0
     if target > 0:
         for s in state.S[e].tolist():
@@ -340,47 +311,50 @@ def enumerate_residual(state: WitnessState, e: int) -> EnumerationOutcome:
             if f2 is None or delta[f2] == REMOVED:
                 continue
             witnesses.append(s)
+            edges.append((f1, f2))
             if len(witnesses) == target:
                 break
     if len(witnesses) < target:
         state.fallback_calls += 1
         a, b = ordered_endpoints(G, e)
-        witnesses = []
+        flip = a != u
+        witnesses, edges = [], []
         for w in G.adj[a]:
-            if w == b or delta[eid(a, w)] == REMOVED:
+            if w == b:
+                continue
+            f1 = eid(a, w)
+            if delta[f1] == REMOVED:
                 continue
             f2 = eid(b, w)
             if f2 is None or delta[f2] == REMOVED:
                 continue
             witnesses.append(w)
-        return EnumerationOutcome(witnesses, True, tested)
-    return EnumerationOutcome(witnesses, False, tested)
+            edges.append((f2, f1) if flip else (f1, f2))
+        return EnumerationOutcome(witnesses, edges, True, tested)
+    return EnumerationOutcome(witnesses, edges, False, tested)
 
 
 def remove_edge(
     state: WitnessState, e: int, witnessed: EnumerationOutcome
 ) -> list[int]:
-    """Remove edge e given its full residual triangle list.
+    """Remove edge e given its full residual triangle list, as
+    ``enumerate_residual`` returned it.
 
-    For every triangle (u, v, w) the two surviving edges lose one count,
-    and the vanished endpoint's id is subtracted from their rows on the
-    sets containing it. Returns the updated edge ids so the caller can
-    re-examine their thresholds.
+    For every triangle (u, v, w) the two surviving edges, whose ids the
+    list carries, lose one count, and the vanished endpoint's id is
+    subtracted from their rows on the sets containing it. Returns the
+    updated edge ids so the caller can re-examine their thresholds.
     """
     delta = state.delta
     if delta[e] == REMOVED:
         raise ValidationError(f"edge {e} removed twice")
-    G = state.G
-    u, v = G.edges[e]
-    eid = G.edge_id
+    u, v = state.G.edges[e]
     S = state.S
     sets = state.sets
     delta[e] = REMOVED
     affected: list[int] = []
-    for w in witnessed.witnesses:
-        f_uw = eid(u, w)
-        f_vw = eid(v, w)
-        if f_uw is None or f_vw is None or delta[f_uw] == REMOVED or delta[f_vw] == REMOVED:
+    for w, (f_uw, f_vw) in zip(witnessed.witnesses, witnessed.edges):
+        if delta[f_uw] == REMOVED or delta[f_vw] == REMOVED:
             raise ValidationError(
                 f"witness list for edge {e} names non-residual triangle vertex {w}"
             )

@@ -255,9 +255,20 @@ def test_mem_cap_covers_more_than_the_table(tmp_path):
     assert code == EXIT_RESOURCE and out == ""
 
 
+# commands that read only the triangle counts keep no listing, so K_30
+# runs under the cap that refuses the others
+COUNT_ONLY = (["stats"], ["triangles", "--counts"], ["verify", "truss", "--k", "1"])
+
+
 @pytest.mark.parametrize(
     "args, free_exit",
-    [(["truss"], EXIT_OK), (["verify", "critical", "--k", "4"], EXIT_VERIFY_FAILED)],
+    [
+        (["truss"], EXIT_OK),
+        (["verify", "critical", "--k", "4"], EXIT_VERIFY_FAILED),
+        (["stats"], EXIT_OK),
+        (["triangles", "--counts"], EXIT_OK),
+        (["verify", "truss", "--k", "1"], EXIT_VERIFY_FAILED),
+    ],
 )
 def test_listing_over_mem_cap_exits_6(tmp_path, monkeypatch, capsys, args, free_exit):
     k30 = from_edges(30, combinations(range(1, 31), 2))
@@ -266,9 +277,12 @@ def test_listing_over_mem_cap_exits_6(tmp_path, monkeypatch, capsys, args, free_
     monkeypatch.setenv("TRUSSKIT_MEM_CAP", str(cap))
     code, out = run_cli(args, tmp_path, k30.serialize())
     err = capsys.readouterr().err
-    assert code == EXIT_RESOURCE and out == ""
-    assert f"~{estimate} bytes" in err and f"{cap}-byte cap" in err
-    assert sorted(os.listdir(tmp_path)) == ["in.txt"]  # no output, no temp file
+    if args in COUNT_ONLY:
+        assert code == EXIT_OK and out and err == ""
+    else:
+        assert code == EXIT_RESOURCE and out == ""
+        assert f"~{estimate} bytes" in err and f"{cap}-byte cap" in err
+        assert sorted(os.listdir(tmp_path)) == ["in.txt"]  # no output, no temp file
     # more wedges than K_30 has triangles, but none closes: under the cap
     k25_25 = from_edges(50, [(a, b) for a in range(1, 26) for b in range(26, 51)])
     code, out = run_cli(args, tmp_path, k25_25.serialize())

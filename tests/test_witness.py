@@ -1,5 +1,6 @@
 """Witness-table structure: initialization, enumeration, dynamic updates."""
 
+import math
 import random
 import tracemalloc
 from itertools import combinations
@@ -12,6 +13,7 @@ from trusskit import (
     ValidationError,
     WitnessConfig,
     enumerate_residual,
+    enumerate_triangles,
     from_edges,
     gnp_random,
     init_witness,
@@ -130,16 +132,36 @@ def test_single_witness_row_is_the_id():
     assert state.delta[e] == 2
 
 
+def assert_modes_agree(g, seed, b):
+    direct = init_witness(g, WitnessConfig(k_trunc=3, seed=seed, b=b))
+    matrix = init_witness(g, WitnessConfig(k_trunc=3, seed=seed, b=b, init_mode="matrix"))
+    assert np.array_equal(direct.S, matrix.S)
+    assert np.array_equal(direct.delta, matrix.delta)
+
+
+def heavy_per_triangle(g, b):
+    """The numbers of heavy vertices (degree over m^(1-b)) that g's
+    triangles have."""
+    heavy = {v for v in g.vertices if g.degree(v) > g.m ** (1.0 - b)}
+    kinds = set()
+    enumerate_triangles(g, lambda t: kinds.add(len(heavy.intersection(t))))
+    return kinds
+
+
 @pytest.mark.parametrize("b", [0.5, 2 / 3, 0.9])
 def test_matrix_init_equals_direct(b):
+    # on G(30, 0.4) these b make almost every vertex heavy
     for seed in range(20):
-        g = gnp_random(30, 0.4, seed=seed)
-        direct = init_witness(g, WitnessConfig(k_trunc=3, seed=seed, b=b))
-        matrix = init_witness(
-            g, WitnessConfig(k_trunc=3, seed=seed, b=b, init_mode="matrix")
-        )
-        assert np.array_equal(direct.S, matrix.S)
-        assert np.array_equal(direct.delta, matrix.delta)
+        assert_modes_agree(gnp_random(30, 0.4, seed=seed), seed, b)
+    # the folded listing and the products each take their own triangles:
+    # below b = 0.9 the skewed graph has triangles with 0, 1, 2 and 3 heavy
+    # vertices, and at the lowest b (= a) no vertex is heavy at all
+    g = skewed(400, 3000, seed=4)
+    a = math.log(3) / math.log(g.m)
+    assert heavy_per_triangle(g, b) == ({3} if b == 0.9 else {0, 1, 2, 3})
+    assert heavy_per_triangle(g, a) == {0}
+    assert_modes_agree(g, 4, b)
+    assert_modes_agree(g, 4, a)
 
 
 def test_blocked_draw_matches_one_shot_draw():
