@@ -1,5 +1,5 @@
 """trusskit: exact and truncated k-truss decomposition for undirected graphs,
-extremal truss generators, and brute-force verification oracles."""
+extremal truss generators, truss deciders and bound checks."""
 
 from .graphs import (
     Graph,
@@ -7,20 +7,15 @@ from .graphs import (
     ParseError,
     ValidationError,
     DegeneracyReport,
-    clustering_coefficient,
-    connected_components,
     degeneracy,
     from_edges,
     from_pairs,
-    induced_by_edges,
-    induced_by_vertices,
     parse_edge_list,
 )
 from .triangles import TriangleCounts, enumerate_triangles, triangle_counts
 from .peel import (
     TrussLabels,
     k_truss_components,
-    max_k_truss,
     truss_decomposition,
 )
 from .witness import (
@@ -50,10 +45,8 @@ from .generators import (
 from .checks import (
     BoundReport,
     bound_report,
-    brute_force_triangles,
     is_critical_k_truss,
     is_k_truss,
-    oracle_truss_decomposition,
 )
 
 __version__ = "0.1.0"

@@ -1,13 +1,12 @@
-"""Brute-force oracles, truss deciders and bound checks.
+"""Truss deciders and bound checks.
 
-The capped oracles are ground truth for the rest of the package: the
-triangle oracle scans all vertex triples, and the decomposition oracle
-re-derives every count from scratch on each pass with dense adjacency
-products, a representation deliberately different from the incremental
-peeling path. The truss deciders and the bound report work from sparse
-per-edge triangle counts, so no path outside the capped oracles builds an
-n x n array. The bound report evaluates the structural inequalities a
-correct decomposition can never violate.
+The k-truss and critical-k-truss deciders work from sparse per-edge
+triangle counts: the critical test runs m single-edge peels that share one
+triangle incidence. The bound report evaluates the structural
+inequalities a correct decomposition can never violate, from the labels
+and one pass over the triangle listing. No path here builds an n x n
+array; the brute-force oracles the tests compare against live with the
+tests.
 
 All functions are read-only over Graph and safe for concurrent use.
 """
@@ -15,83 +14,13 @@ All functions are read-only over Graph and safe for concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
 
 import numpy as np
 
 from . import graphs as gr
 from .graphs import Graph, ValidationError
 from .peel import TrussLabels, _find, peel_to_fixed_point
-from .triangles import TriangleCounts, _blocks, triangle_counts
-
-DEFAULT_CAP = 200
-
-
-class CapExceeded(Exception):
-    """Input too large for a brute-force oracle."""
-
-
-def brute_force_triangles(G: Graph, cap: int = DEFAULT_CAP) -> TriangleCounts:
-    """Exact counts by scanning all vertex triples. O(n^3), capped."""
-    if G.n > cap:
-        raise CapExceeded(f"brute-force triangle scan refused for n={G.n} > cap={cap}")
-    per_edge = [0] * G.m
-    per_vertex = [0] * (G.n + 1)
-    total = 0
-    eid = G.edge_id
-    n = G.n
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            eab = eid(a, b)
-            if eab is None:
-                continue
-            for c in range(b + 1, n + 1):
-                ebc = eid(b, c)
-                if ebc is None:
-                    continue
-                eac = eid(a, c)
-                if eac is None:
-                    continue
-                total += 1
-                per_edge[eab] += 1
-                per_edge[ebc] += 1
-                per_edge[eac] += 1
-                per_vertex[a] += 1
-                per_vertex[b] += 1
-                per_vertex[c] += 1
-    return TriangleCounts(per_edge, per_vertex, total)
-
-
-def oracle_truss_decomposition(G: Graph, cap: int = DEFAULT_CAP) -> TrussLabels:
-    """Naive decomposition: for k = 1, 2, ... repeatedly recompute every
-    residual edge's triangle count from scratch and delete all edges below
-    k until stable. Edges deleted at round k get tau = k - 1."""
-    if G.n > cap:
-        raise CapExceeded(f"oracle decomposition refused for n={G.n} > cap={cap}")
-    m = G.m
-    tau = [0] * m
-    if m == 0:
-        return TrussLabels([], [], None)
-    A = np.zeros((G.n + 1, G.n + 1), dtype=np.float64)
-    us, vs = np.array(G.edges, dtype=np.int64).T
-    A[us, vs] = A[vs, us] = 1.0
-    alive = np.ones(m, dtype=bool)
-    k = 1
-    guard = isqrt(2 * m) + 2
-    while alive.any():
-        assert k <= guard, "oracle failed to terminate"
-        while True:
-            counts = (A @ A)[us, vs]
-            low = alive & (counts < k)
-            if not low.any():
-                break
-            for e in np.flatnonzero(low):
-                tau[e] = k - 1
-                A[us[e], vs[e]] = 0.0
-                A[vs[e], us[e]] = 0.0
-            alive &= ~low
-        k += 1
-    return TrussLabels(tau, [True] * m, None)
+from .triangles import _blocks, triangle_counts
 
 
 def is_k_truss(G: Graph, k: int) -> bool:
@@ -121,50 +50,6 @@ def is_critical_k_truss(G: Graph, k: int) -> bool:
     for e in range(G.m):
         if peel_to_fixed_point(G, k, pre_removed=(e,), counts=counts):
             return False
-    return True
-
-
-def is_critical_k_truss_exhaustive(G: Graph, k: int, max_edges: int = 20) -> bool:
-    """Subset-enumeration restatement of criticality (the oracle's oracle).
-
-    Walks all nonempty proper edge subsets, so it refuses anything past
-    ``max_edges`` edges.
-    """
-    m = G.m
-    if m > max_edges:
-        raise CapExceeded(f"subset enumeration refused for m={m} > {max_edges}")
-    if m == 0:
-        return False
-    if not is_k_truss(G, k):
-        return False
-    tri_edge_masks: list[tuple[int, tuple[int, int, int]]] = []
-    eid = G.edge_id
-    for a in range(1, G.n + 1):
-        for b in range(a + 1, G.n + 1):
-            eab = eid(a, b)
-            if eab is None:
-                continue
-            for c in range(b + 1, G.n + 1):
-                ebc = eid(b, c)
-                eac = eid(a, c)
-                if ebc is None or eac is None:
-                    continue
-                mask = (1 << eab) | (1 << ebc) | (1 << eac)
-                tri_edge_masks.append((mask, (eab, ebc, eac)))
-    full = (1 << m) - 1
-    for subset in range(1, full):
-        counts = [0] * m
-        for mask, tri in tri_edge_masks:
-            if mask & subset == mask:
-                for e in tri:
-                    counts[e] += 1
-        ok = True
-        for e in range(m):
-            if subset >> e & 1 and counts[e] < k:
-                ok = False
-                break
-        if ok:
-            return False  # found a smaller k-truss
     return True
 
 

@@ -15,6 +15,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import checks, generators, graphs, peel, triangles, witness
 from .generators import ConstructionError, InfeasibleError
 from .graphs import Graph, ParseError, ValidationError
@@ -27,6 +29,8 @@ EXIT_VALIDATION = 4
 EXIT_INFEASIBLE = 5
 EXIT_RESOURCE = 6
 EXIT_IO = 7
+
+_ROWS = 1024  # triangle rows formatted per write
 
 
 @dataclass
@@ -66,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     tt.add_argument("--prob", type=float, default=None, help="inclusion probability q")
     tt.add_argument("--init", choices=("direct", "matrix"), default="direct")
     tt.add_argument("--b", type=float, default=None, help="heavy/light exponent")
-    tt.add_argument("--mem-cap", type=int, default=None, help="table budget in bytes")
+    tt.add_argument("--mem-cap", type=int, default=None,
+                    help="bytes witness init may allocate (default: $TRUSSKIT_MEM_CAP or 4 GiB)")
 
     comp = sub.add_parser("components", help="k-truss component per edge")
     comp.add_argument("--k", type=int, required=True)
@@ -134,12 +139,6 @@ def _read_graph(cfg: RunConfig) -> Graph:
     return graphs.parse_edge_list(data)
 
 
-def _mem_cap(params) -> int:
-    if params.get("mem_cap") is not None:
-        return params["mem_cap"]
-    return triangles.mem_cap()
-
-
 def _sorted_edge_rows(G: Graph):
     for u, v in sorted(G.edges):
         yield u, v, G.edge_id(u, v)
@@ -165,15 +164,26 @@ def _cmd_triangles(cfg, G, out):
         tc = triangles.triangle_counts(G, keep_listing=False)
         for u, v, e in _sorted_edge_rows(G):
             out.write(f"{G.labels[u]}\t{G.labels[v]}\t{tc.per_edge[e]}\n")
-    else:
-        rows: list[str] = []
-        triangles.enumerate_triangles(
-            G,
-            lambda t: rows.append(f"{G.labels[t[0]]} {G.labels[t[1]]} {G.labels[t[2]]}"),
-        )
-        for row in sorted(rows):
-            out.write(row + "\n")
+        return EXIT_OK
+    tris = triangles.triangle_vertices(G)
+    # labels hold no spaces, so the rows "a b c" sort as the tuples
+    # (a + " ", b + " ", c): one rank per vertex and column, no row strings
+    lab = G.labels
+    head, tail = _label_ranks(lab, " "), _label_ranks(lab, "")
+    order = np.lexsort((tail[tris[:, 2]], head[tris[:, 1]], head[tris[:, 0]]))
+    for lo in range(0, len(order), _ROWS):
+        rows = tris[order[lo : lo + _ROWS]].tolist()
+        out.write("".join(f"{lab[a]} {lab[b]} {lab[c]}\n" for a, b, c in rows))
     return EXIT_OK
+
+
+def _label_ranks(labels, suffix: str) -> np.ndarray:
+    """Position of each vertex when the labels, each with ``suffix``
+    appended, are sorted as strings."""
+    order = sorted(range(len(labels)), key=lambda v: labels[v] + suffix)
+    rank = np.empty(len(labels), dtype=np.int32)
+    rank[order] = np.arange(len(labels), dtype=np.int32)
+    return rank
 
 
 def _cmd_truss(cfg, G, out):
@@ -196,7 +206,7 @@ def _cmd_truncated(cfg, G, out):
         prob=p.get("prob"),
         b=p.get("b"),
         init_mode=p.get("init", "direct"),
-        mem_cap_bytes=_mem_cap(p),
+        mem_cap_bytes=triangles.mem_cap() if p["mem_cap"] is None else p["mem_cap"],
     )
     labels = witness.truncated_decomposition(G, wc)
     for u, v, e in _sorted_edge_rows(G):
@@ -306,9 +316,10 @@ def _cmd_bench(cfg, G, out):
     out.write(f"max_tau\t{max(labels.tau) if labels.tau else 0}\n")
     kt = cfg.params.get("k_trunc")
     if kt is not None and G.m:
-        wc = WitnessConfig(kt, seed=cfg.params["seed"], mem_cap_bytes=_mem_cap(cfg.params))
+        wc = WitnessConfig(kt, seed=cfg.params["seed"])
         t0 = time.perf_counter()
-        _, state = witness.instrumented_truncated_decomposition(G, wc)
+        state = witness.init_witness(G, wc)
+        witness.run_rounds(state)
         dt = time.perf_counter() - t0
         rate = (
             state.fallback_calls / state.enumeration_calls
@@ -374,7 +385,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"trusskit: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValidationError, ConstructionError, checks.CapExceeded) as exc:
+    except (ValidationError, ConstructionError) as exc:
         print(f"trusskit: invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except InfeasibleError as exc:

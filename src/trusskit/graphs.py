@@ -160,67 +160,7 @@ def parse_edge_list(text: str | bytes) -> Graph:
     return from_pairs(pairs)
 
 
-# -- subgraphs ------------------------------------------------------------
-
-
-def induced_by_vertices(G: Graph, vertex_set: Iterable[int]) -> Graph:
-    """Vertex-induced subgraph on the given internal ids.
-
-    Kept vertices are renumbered 1..|U| in ascending old-id order and keep
-    their original labels. Vertices isolated inside U are retained.
-    """
-    keep = sorted(set(vertex_set))
-    for v in keep:
-        if not (1 <= v <= G.n):
-            raise ValidationError(f"unknown vertex id {v}")
-    remap = {old: new for new, old in enumerate(keep, start=1)}
-    pairs = [
-        (remap[u], remap[v])
-        for u, v in G.edges
-        if u in remap and v in remap
-    ]
-    return Graph([G.labels[v] for v in keep], pairs)
-
-
-def induced_by_edges(G: Graph, edge_set: Iterable[int]) -> Graph:
-    """Edge-induced subgraph: vertex set is exactly the endpoints of the
-    kept edges, so the result has no isolated vertices."""
-    kept = sorted(set(edge_set))
-    for e in kept:
-        if not (0 <= e < G.m):
-            raise ValidationError(f"edge id {e} out of range [0, {G.m})")
-    touched = sorted({v for e in kept for v in G.edges[e]})
-    remap = {old: new for new, old in enumerate(touched, start=1)}
-    pairs = [(remap[G.edges[e][0]], remap[G.edges[e][1]]) for e in kept]
-    return Graph([G.labels[v] for v in touched], pairs)
-
-
-# -- components ------------------------------------------------------------
-
-
-def connected_components(G: Graph) -> list[int]:
-    """Component id per edge; two edges share an id iff they are connected.
-
-    Ids are assigned in order of each component's smallest vertex.
-    """
-    comp_of_vertex = [-1] * (G.n + 1)
-    cid = 0
-    for start in G.vertices:
-        if comp_of_vertex[start] != -1 or G.degree(start) == 0:
-            continue
-        stack = [start]
-        comp_of_vertex[start] = cid
-        while stack:
-            v = stack.pop()
-            for w in G.adj[v]:
-                if comp_of_vertex[w] == -1:
-                    comp_of_vertex[w] = cid
-                    stack.append(w)
-        cid += 1
-    return [comp_of_vertex[u] for u, _ in G.edges]
-
-
-# -- degeneracy and local density ------------------------------------------
+# -- degeneracy ------------------------------------------------------------
 
 
 @dataclass
@@ -273,19 +213,3 @@ def degeneracy(G: Graph) -> DegeneracyReport:
     else:
         avg = Fraction(0)
     return DegeneracyReport(delta, order, avg)
-
-
-def clustering_coefficient(G: Graph, v: int) -> Fraction:
-    """Triangles at v divided by C(d(v), 2), exact. Undefined for d(v) < 2."""
-    if not (1 <= v <= G.n):
-        raise ValidationError(f"unknown vertex id {v}")
-    d = G.degree(v)
-    if d < 2:
-        raise ValidationError(f"clustering coefficient undefined: d({v}) = {d} < 2")
-    nbrs = G.adj[v]
-    tri = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            if G.has_edge(nbrs[i], nbrs[j]):
-                tri += 1
-    return Fraction(tri, d * (d - 1) // 2)

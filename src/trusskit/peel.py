@@ -235,16 +235,6 @@ def peel_to_fixed_point(
     return [e for e in range(m) if delta[e] != REMOVED]
 
 
-def max_k_truss(G: Graph, k: int) -> tuple[int, ...]:
-    """The unique maximal edge set whose edge-induced subgraph keeps every
-    edge on at least k triangles; equals {e : tau(e) >= k}."""
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
-    if k == 0:
-        return tuple(range(G.m))
-    return tuple(peel_to_fixed_point(G, k))
-
-
 def k_truss_components(
     G: Graph, k: int, labels: TrussLabels
 ) -> list[tuple[int, ...]]:

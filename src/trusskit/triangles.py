@@ -6,9 +6,10 @@ of out-edges of a vertex (an out-wedge) closes a triangle if the edge
 between their heads exists. There are O(m * avg degeneracy) out-wedges,
 closed in numpy blocks of ``_WEDGE_BLOCK`` by a ``searchsorted`` on the
 sorted oriented edge keys. Counting for the peel keeps each triangle's
-edge ids, from which it builds its edge -> triangle incidence, under the
-memory cap; count-only callers keep none, and witness init and the bound
-report read the blocks as they come.
+edge ids, from which it builds its edge -> triangle incidence, and the
+vertex listing keeps each triangle's vertices, both under the memory cap;
+count-only callers keep none, and witness init and the bound report read
+the blocks as they come.
 """
 
 from __future__ import annotations
@@ -131,6 +132,21 @@ def enumerate_triangles(G: Graph, sink: Callable[[Triangle], None] | None = None
             for t in vertices.tolist():
                 sink(tuple(t))
     return count
+
+
+def triangle_vertices(G: Graph) -> np.ndarray:
+    """Every triangle of G as a row of its vertices, ascending, in an int32
+    (T, 3) array. Raises ResourceLimitError before keeping a block that
+    takes the listing estimate, with the triangles kept so far, over the
+    cap; the array holds well under the estimate's bytes per triangle."""
+    _reserve(G, 0)
+    kept, total = [], 0
+    for vertices, _ in _blocks(G):
+        total += len(vertices)
+        _reserve(G, total)
+        vertices.sort(axis=1)
+        kept.append(vertices.astype(np.int32))
+    return np.concatenate(kept) if kept else np.empty((0, 3), np.int32)
 
 
 def triangle_counts(G: Graph, *, keep_listing: bool = True) -> TriangleCounts:

@@ -31,14 +31,14 @@ read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
 from .graphs import Graph, ValidationError
 from .peel import REMOVED, TrussLabels, _peel
-from .triangles import DEFAULT_MEM_CAP, ResourceLimitError, ordered_endpoints
+from .triangles import ResourceLimitError, mem_cap, ordered_endpoints
 from .triangles import _WEDGE_BLOCK, _blocks, _footprint as _listing_footprint
 
 DEFAULT_SEED = 1729
@@ -56,7 +56,9 @@ class WitnessConfig:
     1/k_trunc; the log is natural, which is what makes the miss
     probability per vertex polynomially small. ``b`` steers the
     heavy/light degree split of matrix-mode initialization and defaults
-    to max(a, 2/3) with a = log_m(k_trunc).
+    to max(a, 2/3) with a = log_m(k_trunc). ``mem_cap_bytes`` defaults to
+    ``triangles.mem_cap()`` when the config is made, so one budget holds
+    initialization and the triangle listing alike.
     """
 
     k_trunc: int
@@ -65,7 +67,7 @@ class WitnessConfig:
     prob: float | None = None
     b: float | None = None
     init_mode: str = "direct"
-    mem_cap_bytes: int = DEFAULT_MEM_CAP
+    mem_cap_bytes: int = field(default_factory=mem_cap)
 
 
 @dataclass
@@ -376,17 +378,16 @@ def truncated_decomposition(G: Graph, cfg: WitnessConfig) -> TrussLabels:
     table. The randomness only affects how often the fallback scan runs,
     never the labels, so the output is seed-independent.
     """
-    m = G.m
-    k_trunc = cfg.k_trunc
-    if k_trunc < 1:
+    if cfg.k_trunc < 1:
         raise ValidationError("k_trunc must be positive")
-    if m == 0:
-        return TrussLabels([], [], k_trunc)
-    state = init_witness(G, cfg)
-    return _run_rounds(state)
+    if G.m == 0:
+        return TrussLabels([], [], cfg.k_trunc)
+    return run_rounds(init_witness(G, cfg))
 
 
-def _run_rounds(state: WitnessState) -> TrussLabels:
+def run_rounds(state: WitnessState) -> TrussLabels:
+    """The peel's rounds 1..k_trunc on a state fresh from ``init_witness``;
+    the state keeps the enumeration and fallback counters of the run."""
     k_trunc = state.cfg.k_trunc
     delta = state.delta
     tau = [k_trunc] * state.G.m
@@ -400,18 +401,3 @@ def _run_rounds(state: WitnessState) -> TrussLabels:
 
     _peel(delta, k_trunc, remove, tau)
     return TrussLabels(tau, [t < k_trunc for t in tau], k_trunc)
-
-
-def instrumented_truncated_decomposition(
-    G: Graph, cfg: WitnessConfig
-) -> tuple[TrussLabels, WitnessState]:
-    """Like truncated_decomposition but also returns the final state
-    (enumeration/fallback counters, residual table) for benchmarks."""
-    m = G.m
-    if cfg.k_trunc < 1:
-        raise ValidationError("k_trunc must be positive")
-    if m == 0:
-        raise ValidationError("instrumented run needs at least one edge")
-    state = init_witness(G, cfg)
-    labels = _run_rounds(state)
-    return labels, state

@@ -1,6 +1,27 @@
-"""Test-only reference computations, independent of the code paths they check."""
+"""Reference computations the tests compare trusskit against, and the
+subgraph helpers some tests build their inputs with.
+
+Each reference takes a road of its own: one all-triples scan for the
+triangles and the per-edge counts, dense adjacency products for the
+decomposition, the truss test and the greedy suspension, every edge
+subset for criticality, plain loops over the residual graph for the
+witness table, and a search per level for the bound report. None of
+them calls the code path it checks. The expensive ones refuse inputs
+past their caps, raising ``CapExceeded`` or failing an assertion, rather
+than hang.
+"""
+
+from math import isqrt
 
 import numpy as np
+
+from trusskit import Graph, TriangleCounts, TrussLabels, ValidationError
+
+DEFAULT_CAP = 200
+
+
+class CapExceeded(Exception):
+    """Input too large for a brute-force oracle."""
 
 
 def scratch_witness_table(state):
@@ -58,6 +79,48 @@ def triple_scan_triangles(G):
     return out
 
 
+def brute_force_triangles(G, cap=DEFAULT_CAP):
+    """Exact counts from the all-triples scan. O(n^3), capped."""
+    if G.n > cap:
+        raise CapExceeded(f"brute-force triangle scan refused for n={G.n} > cap={cap}")
+    per_edge = [0] * G.m
+    per_vertex = [0] * (G.n + 1)
+    tris = triple_scan_triangles(G)
+    for a, b, c in tris:
+        for x, y in ((a, b), (b, c), (a, c)):
+            per_edge[G.edge_id(x, y)] += 1
+        for x in (a, b, c):
+            per_vertex[x] += 1
+    return TriangleCounts(per_edge, per_vertex, len(tris))
+
+
+def is_critical_k_truss_exhaustive(G, k, max_edges=20):
+    """Criticality restated over edge subsets (the oracle's oracle): G has
+    no isolated vertex, its edges all lie on k triangles, and no nonempty
+    proper edge subset keeps each of its edges on k triangles inside it.
+    Walks all 2^m subsets, so it refuses anything past ``max_edges``."""
+    m = G.m
+    if m > max_edges:
+        raise CapExceeded(f"subset enumeration refused for m={m} > {max_edges}")
+    if m == 0 or any(G.degree(v) == 0 for v in G.vertices):
+        return False
+    tris = []
+    for a, b, c in triple_scan_triangles(G):
+        es = (G.edge_id(a, b), G.edge_id(b, c), G.edge_id(a, c))
+        tris.append(((1 << es[0]) | (1 << es[1]) | (1 << es[2]), es))
+
+    def is_truss(subset):
+        counts = [0] * m
+        for mask, es in tris:
+            if mask & subset == mask:
+                for e in es:
+                    counts[e] += 1
+        return all(counts[e] >= k for e in range(m) if subset >> e & 1)
+
+    full = (1 << m) - 1
+    return is_truss(full) and not any(is_truss(s) for s in range(1, full))
+
+
 DENSE_CAP = 400
 
 
@@ -85,10 +148,39 @@ def dense_is_k_truss(G, k):
     return _dense_is_truss(_dense(G, G.n + 1), np.arange(1, G.n + 1), k)
 
 
+def oracle_truss_decomposition(G, cap=DEFAULT_CAP):
+    """Naive decomposition: for k = 1, 2, ... repeatedly recompute every
+    residual edge's triangle count from scratch and delete all edges below
+    k until stable. Edges deleted at round k get tau = k - 1."""
+    if G.n > cap:
+        raise CapExceeded(f"oracle decomposition refused for n={G.n} > cap={cap}")
+    m = G.m
+    if m == 0:
+        return TrussLabels([], [], None)
+    tau = [0] * m
+    A = _dense(G, G.n + 1)
+    us, vs = np.array(G.edges, dtype=np.int64).T
+    alive = np.ones(m, dtype=bool)
+    k = 1
+    guard = isqrt(2 * m) + 2
+    while alive.any():
+        assert k <= guard, "oracle failed to terminate"
+        while True:
+            low = alive & ((A @ A)[us, vs] < k)
+            if not low.any():
+                break
+            for e in np.flatnonzero(low):
+                tau[e] = k - 1
+                A[us[e], vs[e]] = A[vs[e], us[e]] = 0.0
+            alive &= ~low
+        k += 1
+    return TrussLabels(tau, [True] * m, None)
+
+
 def dense_suspend(G, k, added):
     """Greedy apex-edge removal on a dense matrix: every tentative removal
     re-runs the whole truss test. Returns (graph, receipt)."""
-    from trusskit import ValidationError, from_edges
+    from trusskit import from_edges
     from trusskit.generators import ConstructionReceipt
 
     if not dense_is_k_truss(G, k):
@@ -122,6 +214,34 @@ def dense_suspend(G, k, added):
         [f"k={k}", f"added={added}", f"apex_edges={g.m - G.m}"],
     )
     return g, receipt
+
+
+def induced_by_vertices(G, vertex_set):
+    """Vertex-induced subgraph on the given internal ids.
+
+    Kept vertices are renumbered 1..|U| in ascending old-id order and keep
+    their original labels. Vertices isolated inside U are retained.
+    """
+    keep = sorted(set(vertex_set))
+    for v in keep:
+        if not (1 <= v <= G.n):
+            raise ValidationError(f"unknown vertex id {v}")
+    remap = {old: new for new, old in enumerate(keep, start=1)}
+    pairs = [(remap[u], remap[v]) for u, v in G.edges if u in remap and v in remap]
+    return Graph([G.labels[v] for v in keep], pairs)
+
+
+def induced_by_edges(G, edge_set):
+    """Edge-induced subgraph: vertex set is exactly the endpoints of the
+    kept edges, so the result has no isolated vertices."""
+    kept = sorted(set(edge_set))
+    for e in kept:
+        if not (0 <= e < G.m):
+            raise ValidationError(f"edge id {e} out of range [0, {G.m})")
+    touched = sorted({v for e in kept for v in G.edges[e]})
+    remap = {old: new for new, old in enumerate(touched, start=1)}
+    pairs = [(remap[G.edges[e][0]], remap[G.edges[e][1]]) for e in kept]
+    return Graph([G.labels[v] for v in touched], pairs)
 
 
 def level_bound_checks(G, tau):

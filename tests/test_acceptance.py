@@ -15,7 +15,6 @@ import numpy as np
 from trusskit import (
     WitnessConfig,
     bound_report,
-    brute_force_triangles,
     clique_chain,
     critical_2truss,
     critical_truss,
@@ -25,14 +24,13 @@ from trusskit import (
     init_witness,
     is_critical_k_truss,
     is_k_truss,
-    oracle_truss_decomposition,
     remove_edge,
     truncated_decomposition,
 )
 from trusskit.triangles import enumerate_triangles, triangle_counts
-from trusskit.witness import _truncation_cap, instrumented_truncated_decomposition
+from trusskit.witness import _truncation_cap, run_rounds
 
-from .oracles import scratch_witness_table
+from .oracles import brute_force_triangles, oracle_truss_decomposition, scratch_witness_table
 
 
 def report(name, ok, extra=""):
@@ -243,7 +241,8 @@ def test_criterion_9_performance_properties(corpus, peel_cache):
     while calls < 10_000:
         g = gnp_random(50, 0.4, seed=3000 + seed)
         cfg = WitnessConfig(k_trunc=_truncation_cap(g.m), seed=seed)
-        _, state = instrumented_truncated_decomposition(g, cfg)
+        state = init_witness(g, cfg)
+        run_rounds(state)
         calls += state.enumeration_calls
         fallbacks += state.fallback_calls
         seed += 1

@@ -2,9 +2,9 @@
 
 from itertools import combinations
 
-from trusskit import WitnessConfig, from_edges, gnp_random
+from trusskit import WitnessConfig, from_edges, gnp_random, init_witness
 from trusskit.peel import instrumented_truss_decomposition
-from trusskit.witness import instrumented_truncated_decomposition
+from trusskit.witness import run_rounds
 
 
 def complete(n):
@@ -34,6 +34,7 @@ def test_triangle_free_family_single_round():
 
 def test_fallback_rate_sparse_graph():
     g = gnp_random(200, 0.1, seed=424242)
-    _, state = instrumented_truncated_decomposition(g, WitnessConfig(k_trunc=12))
+    state = init_witness(g, WitnessConfig(k_trunc=12))
+    run_rounds(state)
     assert state.enumeration_calls >= 1000
     assert state.fallback_calls / state.enumeration_calls < 0.01

@@ -1,4 +1,5 @@
-"""The oracle layer itself: brute-force scans and bound reporting."""
+"""Truss deciders and bound reporting, and the brute-force oracles they
+are checked against."""
 
 from itertools import combinations
 
@@ -8,22 +9,26 @@ from hypothesis import strategies as st
 
 from trusskit import (
     bound_report,
-    brute_force_triangles,
     clique_chain,
     critical_2truss,
     from_edges,
     gnp_random,
     is_critical_k_truss,
     is_k_truss,
-    oracle_truss_decomposition,
     triangle_counts,
     truss_decomposition,
 )
-from trusskit.checks import CapExceeded, is_critical_k_truss_exhaustive
 from trusskit.graphs import ValidationError
 from trusskit.peel import TrussLabels
 
-from .oracles import dense_is_k_truss, level_bound_checks
+from .oracles import (
+    CapExceeded,
+    brute_force_triangles,
+    dense_is_k_truss,
+    is_critical_k_truss_exhaustive,
+    level_bound_checks,
+    oracle_truss_decomposition,
+)
 from .strategies import small_graphs
 
 

@@ -9,12 +9,15 @@ from itertools import combinations
 import pytest
 
 from trusskit import (
+    ResourceLimitError,
     WitnessConfig,
     clique_chain,
     from_edges,
     gnp_random,
     init_witness,
+    parse_edge_list,
     triangle_counts,
+    truncated_decomposition,
 )
 from trusskit.cli import (
     EXIT_INFEASIBLE,
@@ -25,6 +28,8 @@ from trusskit.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+
+from .oracles import triple_scan_triangles
 
 
 def k5_text():
@@ -72,6 +77,17 @@ def test_triangle_list_sorted(tmp_path):
     code, out = run_cli(["triangles"], tmp_path, "2 1\n3 2\n1 3\n")
     assert code == EXIT_OK
     assert out == "2 1 3\n"  # single triangle in label order of internal ids
+
+
+def test_triangle_rows_sort_as_strings(tmp_path):
+    # "b" is a prefix of "b\x01", yet "b\x01 ..." sorts before "b ..."
+    labels = ["b", "b\x01", "b0", "a", "ab", "~"]
+    text = "".join(f"{u} {v}\n" for u, v in combinations(labels, 2))
+    code, out = run_cli(["triangles"], tmp_path, text)
+    g = parse_edge_list(text)
+    rows = sorted(" ".join(g.labels[v] for v in t) for t in triple_scan_triangles(g))
+    assert code == EXIT_OK
+    assert out == "".join(row + "\n" for row in rows)
 
 
 def test_triangle_counts_tsv(tmp_path):
@@ -234,6 +250,9 @@ def test_mem_cap_env_override(tmp_path, monkeypatch):
         k5_text(),
     )
     assert code == EXIT_OK and out
+    # the library's default cap reads the same environment
+    with pytest.raises(ResourceLimitError, match="64-byte cap"):
+        truncated_decomposition(parse_edge_list(k5_text()), WitnessConfig(k_trunc=2))
 
 
 def test_mem_cap_covers_more_than_the_table(tmp_path):
@@ -268,6 +287,7 @@ COUNT_ONLY = (["stats"], ["triangles", "--counts"], ["verify", "truss", "--k", "
         (["stats"], EXIT_OK),
         (["triangles", "--counts"], EXIT_OK),
         (["verify", "truss", "--k", "1"], EXIT_VERIFY_FAILED),
+        (["triangles"], EXIT_OK),
     ],
 )
 def test_listing_over_mem_cap_exits_6(tmp_path, monkeypatch, capsys, args, free_exit):
@@ -286,7 +306,24 @@ def test_listing_over_mem_cap_exits_6(tmp_path, monkeypatch, capsys, args, free_
     # more wedges than K_30 has triangles, but none closes: under the cap
     k25_25 = from_edges(50, [(a, b) for a in range(1, 26) for b in range(26, 51)])
     code, out = run_cli(args, tmp_path, k25_25.serialize())
-    assert code == free_exit and out
+    if args == ["triangles"]:
+        assert code == free_exit and out == ""  # it has no triangle to list
+    else:
+        assert code == free_exit and out
+
+
+def test_triangle_list_peak_within_listing_estimate(tmp_path):
+    # the sorted "u v w" rows are held as vertex ids, not as strings
+    k80 = from_edges(80, combinations(range(1, 81), 2))
+    estimate = triangle_counts(k80).mem_estimate
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(["triangles"], tmp_path, k80.serialize())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak <= estimate, f"peak {peak} over the listing estimate {estimate}"
 
 
 def test_module_entry_point(tmp_path):

@@ -14,7 +14,6 @@ from trusskit import (
     critical_truss,
     from_edges,
     gnp_random,
-    induced_by_vertices,
     is_critical_k_truss,
     is_k_truss,
     suspend,
@@ -25,7 +24,7 @@ from trusskit import (
 )
 from trusskit.generators import FaceEmbedding, has_truss_safe_shape
 
-from .oracles import dense_suspend
+from .oracles import dense_suspend, induced_by_vertices
 
 
 def complete(n):

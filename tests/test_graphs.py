@@ -1,4 +1,5 @@
-"""Graph representation, parsing, subgraphs, degeneracy."""
+"""Graph representation, parsing, degeneracy, and the subgraph helpers of
+the tests."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -9,16 +10,13 @@ from hypothesis import given
 from trusskit import (
     ParseError,
     ValidationError,
-    clustering_coefficient,
-    connected_components,
     degeneracy,
     from_edges,
     from_pairs,
-    induced_by_edges,
-    induced_by_vertices,
     parse_edge_list,
 )
 
+from .oracles import induced_by_edges, induced_by_vertices
 from .strategies import edge_texts, small_graphs
 
 
@@ -70,7 +68,7 @@ def test_first_appearance_ids():
     assert g.labels[1:] == ("c", "a", "b")
 
 
-# -- induced subgraphs --------------------------------------------------------
+# -- induced subgraphs (helpers in oracles.py) --------------------------------
 
 
 def test_induced_vertices_clique_restriction():
@@ -117,23 +115,6 @@ def test_induced_edges_bowtie_triangle():
 def test_induced_edges_bad_id():
     with pytest.raises(ValidationError):
         induced_by_edges(complete(4), [99])
-
-
-# -- components ---------------------------------------------------------------
-
-
-def test_components_bowtie():
-    assert connected_components(bowtie()) == [0] * 6
-
-
-def test_components_two_triangles():
-    g = from_edges(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
-    labels = connected_components(g)
-    assert labels == [0, 0, 0, 1, 1, 1]
-
-
-def test_components_empty():
-    assert connected_components(from_edges(0, [])) == []
 
 
 # -- degeneracy ---------------------------------------------------------------
@@ -188,29 +169,6 @@ def test_average_degeneracy_vs_degeneracy(G):
 def test_degeneracy_vs_sqrt_2m(G):
     d = degeneracy(G).degeneracy
     assert d * d <= 2 * G.m
-
-
-# -- clustering ---------------------------------------------------------------
-
-
-def test_clustering_clique():
-    assert clustering_coefficient(complete(4), 1) == 1
-
-
-def test_clustering_star_center():
-    star = from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
-    assert clustering_coefficient(star, 1) == 0
-
-
-def test_clustering_triangle_plus_pendant():
-    g = from_edges(4, [(1, 2), (1, 3), (2, 3), (1, 4)])
-    assert clustering_coefficient(g, 1) == Fraction(1, 3)
-
-
-def test_clustering_undefined_below_degree_two():
-    g = from_edges(2, [(1, 2)])
-    with pytest.raises(ValidationError):
-        clustering_coefficient(g, 1)
 
 
 # -- serialization ------------------------------------------------------------

@@ -11,16 +11,14 @@ from trusskit import (
     from_edges,
     gnp_random,
     is_k_truss,
-    induced_by_edges,
     k_truss_components,
-    max_k_truss,
-    oracle_truss_decomposition,
     triangle_counts,
     truss_decomposition,
 )
 from trusskit.graphs import degeneracy
-from trusskit.peel import instrumented_truss_decomposition
+from trusskit.peel import instrumented_truss_decomposition, peel_to_fixed_point
 
+from .oracles import induced_by_edges, oracle_truss_decomposition
 from .strategies import small_graphs
 
 
@@ -68,20 +66,19 @@ def test_internal_invariants_hold(G):
     assert labels.tau == oracle_truss_decomposition(G).tau
 
 
+# the maximal k-truss: the edges peel_to_fixed_point keeps
+
+
 def test_max_k_truss_k5():
-    assert len(max_k_truss(complete(5), 3)) == 10
-    assert max_k_truss(complete(5), 4) == ()
+    assert len(peel_to_fixed_point(complete(5), 3)) == 10
+    assert peel_to_fixed_point(complete(5), 4) == []
 
 
 def test_max_k_truss_pendant():
     g = from_edges(5, list(combinations(range(1, 5), 2)) + [(4, 5)])
-    kept = max_k_truss(g, 2)
+    kept = peel_to_fixed_point(g, 2)
     assert len(kept) == 6
     assert g.edge_id(4, 5) not in kept
-
-
-def test_max_k_truss_zero_keeps_all():
-    assert max_k_truss(bowtie(), 0) == tuple(range(6))
 
 
 @given(small_graphs())
@@ -89,7 +86,7 @@ def test_fixed_point_characterization(G):
     labels = truss_decomposition(G)
     top = max(labels.tau, default=0)
     for k in range(1, top + 2):
-        kept = set(max_k_truss(G, k))
+        kept = set(peel_to_fixed_point(G, k))
         assert kept == {e for e in range(G.m) if labels.tau[e] >= k}
 
 

@@ -9,7 +9,6 @@ from hypothesis import given
 
 from trusskit import (
     ResourceLimitError,
-    brute_force_triangles,
     enumerate_triangles,
     from_edges,
     gnp_random,
@@ -18,7 +17,7 @@ from trusskit import (
 from trusskit import triangles
 from trusskit.triangles import ordered_endpoints
 
-from .oracles import triple_scan_triangles
+from .oracles import brute_force_triangles, triple_scan_triangles
 from .strategies import small_graphs
 from .test_witness import skewed
 

@@ -21,12 +21,7 @@ from trusskit import (
     truncated_decomposition,
     truss_decomposition,
 )
-from trusskit.witness import (
-    _DRAW_BLOCK,
-    _run_rounds,
-    _truncation_cap,
-    instrumented_truncated_decomposition,
-)
+from trusskit.witness import _DRAW_BLOCK, _truncation_cap, run_rounds
 
 from .oracles import residual_common_neighbors, scratch_witness_table
 
@@ -241,7 +236,7 @@ def test_fallback_scan_alone_gives_clamped_labels():
         for k_trunc in (2, 3, 5):
             empty = np.zeros((g.n + 1, 2), dtype=bool)
             state = init_witness(g, WitnessConfig(k_trunc=k_trunc, sets=2), _xmat=empty)
-            labels = _run_rounds(state)
+            labels = run_rounds(state)
             assert labels.tau == [min(t, k_trunc) for t in full]
             assert labels.exact == [t < k_trunc for t in full]
             assert state.fallback_calls > 0
@@ -348,9 +343,8 @@ def test_labels_independent_of_seed_and_mode():
 
 def test_instrumented_counts_calls():
     g = gnp_random(30, 0.4, seed=13)
-    labels, state = instrumented_truncated_decomposition(
-        g, WitnessConfig(k_trunc=3, seed=13)
-    )
+    state = init_witness(g, WitnessConfig(k_trunc=3, seed=13))
+    labels = run_rounds(state)
     removed = sum(labels.exact)
     zero_tau = sum(1 for t, ex in zip(labels.tau, labels.exact) if ex and t == 0)
     # every non-shortcut removal goes through one enumeration call
