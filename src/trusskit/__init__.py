@@ -12,7 +12,7 @@ from .graphs import (
     from_pairs,
     parse_edge_list,
 )
-from .triangles import TriangleCounts, enumerate_triangles, triangle_counts
+from .triangles import TriangleCounts, triangle_counts
 from .peel import (
     TrussLabels,
     k_truss_components,

@@ -30,7 +30,7 @@ EXIT_INFEASIBLE = 5
 EXIT_RESOURCE = 6
 EXIT_IO = 7
 
-_ROWS = 1024  # triangle rows formatted per write
+_ROWS = 1024  # rows formatted per write
 
 
 @dataclass
@@ -139,9 +139,14 @@ def _read_graph(cfg: RunConfig) -> Graph:
     return graphs.parse_edge_list(data)
 
 
-def _sorted_edge_rows(G: Graph):
-    for u, v in sorted(G.edges):
-        yield u, v, G.edge_id(u, v)
+def _write_edge_rows(G: Graph, values, out) -> None:
+    """Write a "u v value" TSV row per edge, ordered by endpoint pair,
+    skipping the edges whose value is None."""
+    lab, edges = G.labels, G.edges
+    order = sorted(range(G.m), key=edges.__getitem__)
+    for lo in range(0, G.m, _ROWS):
+        rows = ((edges[e], values[e]) for e in order[lo : lo + _ROWS])
+        out.write("".join([f"{lab[u]}\t{lab[v]}\t{x}\n" for (u, v), x in rows if x is not None]))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -162,8 +167,7 @@ def _cmd_stats(cfg, G, out):
 def _cmd_triangles(cfg, G, out):
     if cfg.params.get("counts"):
         tc = triangles.triangle_counts(G, keep_listing=False)
-        for u, v, e in _sorted_edge_rows(G):
-            out.write(f"{G.labels[u]}\t{G.labels[v]}\t{tc.per_edge[e]}\n")
+        _write_edge_rows(G, tc.per_edge, out)
         return EXIT_OK
     tris = triangles.triangle_vertices(G)
     # labels hold no spaces, so the rows "a b c" sort as the tuples
@@ -192,8 +196,7 @@ def _cmd_truss(cfg, G, out):
         for k, cnt in labels.histogram().items():
             out.write(f"{k}\t{cnt}\n")
     else:
-        for u, v, e in _sorted_edge_rows(G):
-            out.write(f"{G.labels[u]}\t{G.labels[v]}\t{labels.tau[e]}\n")
+        _write_edge_rows(G, labels.tau, out)
     return EXIT_OK
 
 
@@ -209,9 +212,8 @@ def _cmd_truncated(cfg, G, out):
         mem_cap_bytes=triangles.mem_cap() if p["mem_cap"] is None else p["mem_cap"],
     )
     labels = witness.truncated_decomposition(G, wc)
-    for u, v, e in _sorted_edge_rows(G):
-        marker = "exact" if labels.exact[e] else "lower_bound"
-        out.write(f"{G.labels[u]}\t{G.labels[v]}\t{labels.tau[e]}\t{marker}\n")
+    mark = ("lower_bound", "exact")
+    _write_edge_rows(G, [f"{t}\t{mark[x]}" for t, x in zip(labels.tau, labels.exact)], out)
     return EXIT_OK
 
 
@@ -219,13 +221,11 @@ def _cmd_components(cfg, G, out):
     k = cfg.params["k"]
     labels = peel.truss_decomposition(G)
     comps = peel.k_truss_components(G, k, labels)
-    comp_of = {}
+    comp_of = [None] * G.m
     for cid, edges in enumerate(comps):
         for e in edges:
             comp_of[e] = cid
-    for u, v, e in _sorted_edge_rows(G):
-        if e in comp_of:
-            out.write(f"{G.labels[u]}\t{G.labels[v]}\t{comp_of[e]}\n")
+    _write_edge_rows(G, comp_of, out)
     return EXIT_OK
 
 

@@ -4,6 +4,10 @@ Vertices carry contiguous 1-based internal ids; id 0 is reserved so that a
 sum of vertex ids is zero only for the empty set (the witness tables rely
 on this). Original input labels are kept alongside the internal ids so
 edge lists round-trip through the serializer.
+
+The edge index is one dict from the id pair (u, v), u < v, to the edge
+id, and ``edges[e]`` is its key. The parser fills it in one pass over the
+lines, next to one label -> id map.
 """
 
 from __future__ import annotations
@@ -44,29 +48,32 @@ class Graph:
 
     def __init__(self, labels: Sequence[str], pairs: Sequence[tuple[int, int]]):
         n = len(labels)
-        adj: list[list[int]] = [[] for _ in range(n + 1)]
         edge_ids: dict[tuple[int, int], int] = {}
-        edges: list[tuple[int, int]] = []
         for u, v in pairs:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValidationError(f"vertex id out of range in edge ({u}, {v})")
             if u == v:
                 raise ValidationError(f"self-loop on vertex {u}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in edge_ids:
-                raise ValidationError(f"duplicate edge ({u}, {v})")
-            edge_ids[(u, v)] = len(edges)
-            edges.append((u, v))
+            key = (u, v) if u < v else (v, u)
+            if key in edge_ids:
+                raise ValidationError(f"duplicate edge {key}")
+            edge_ids[key] = len(edge_ids)
+        self._index([str(x) for x in labels], edge_ids)
+
+    def _index(self, labels: list[str], edge_ids: dict[tuple[int, int], int]) -> None:
+        """Fill the graph from its labels and the edge dict it keeps, which
+        maps each pair (u, v), u < v, to its edge id in insertion order."""
+        adj: list[list[int]] = [[] for _ in range(len(labels) + 1)]
+        for u, v in edge_ids:
             adj[u].append(v)
             adj[v].append(u)
         for lst in adj:
             lst.sort()
-        self.n = n
-        self.m = len(edges)
+        self.n = len(labels)
+        self.m = len(edge_ids)
         self.adj = tuple(tuple(lst) for lst in adj)
-        self.edges = tuple(edges)
-        self.labels = ("",) + tuple(str(x) for x in labels)
+        self.edges = tuple(edge_ids)
+        self.labels = ("", *labels)
         self._edge_ids = edge_ids
 
     # -- basic accessors ------------------------------------------------
@@ -78,9 +85,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._edge_ids
-
     def edge_id(self, u: int, v: int) -> int | None:
         """Dense edge id for the unordered pair, or None if absent."""
         return self._edge_ids.get((u, v) if u < v else (v, u))
@@ -88,8 +92,7 @@ class Graph:
     def serialize(self) -> str:
         """Edge-list text, one "u v" line per edge sorted by (min, max) id."""
         lab = self.labels
-        lines = [f"{lab[u]} {lab[v]}" for u, v in sorted(self.edges)]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join([f"{lab[u]} {lab[v]}\n" for u, v in sorted(self.edges)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -136,28 +139,31 @@ def parse_edge_list(text: str | bytes) -> Graph:
 
     Lines starting with '#' and blank lines are skipped. Vertex labels are
     arbitrary tokens, mapped to ids 1..n in first-appearance order.
-    Self-loops and duplicate edges are rejected.
+    Self-loops and duplicate edges are rejected. One pass over the lines
+    fills the label map and the edge dict the Graph keeps.
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
-    pairs: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
+    ids: dict[str, int] = {}
+    edge_ids: dict[tuple[int, int], int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"expected two tokens, got {raw.strip()!r}", line_no)
         a, b = parts
         if a == b:
             raise ValidationError(f"line {line_no}: self-loop on {a!r}")
-        key = (a, b) if a < b else (b, a)
-        if key in seen:
+        u = ids.setdefault(a, len(ids) + 1)
+        v = ids.setdefault(b, len(ids) + 1)
+        key = (u, v) if u < v else (v, u)
+        if key in edge_ids:
             raise ValidationError(f"line {line_no}: duplicate edge {a!r} {b!r}")
-        seen.add(key)
-        pairs.append((a, b))
-    return from_pairs(pairs)
+        edge_ids[key] = len(edge_ids)
+    G = object.__new__(Graph)
+    G._index(list(ids), edge_ids)
+    return G
 
 
 # -- degeneracy ------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Triangle listing, exact triangle counts and triangle enumeration.
+"""Triangle listing and exact triangle counts.
 
 Each triangle is listed once by the forward scheme (Chiba & Nishizeki
 1985; Latapy 2008): edges point up the (degree, id) ranking, and each pair
@@ -19,13 +19,11 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .graphs import Graph
-
-Triangle = tuple[int, int, int]
 
 DEFAULT_MEM_CAP = 4 * 2**30  # bytes a triangle listing or witness init may allocate
 MEM_CAP_ENV = "TRUSSKIT_MEM_CAP"
@@ -117,21 +115,6 @@ def _blocks(G: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         s, t, at = s[hit], t[hit], at[hit]
         opposite = by_rank[np.stack([dst[t], dst[s], src[s]], axis=1)]
         yield opposite, eid[np.stack([s, t, at], axis=1)]
-
-
-def enumerate_triangles(G: Graph, sink: Callable[[Triangle], None] | None = None) -> int:
-    """Stream every triangle of G to ``sink`` exactly once, as a vertex
-    triple sorted ascending; returns the count. Nothing is kept, so K_n's
-    Theta(n^3) triangles cost one block of memory."""
-    _reserve(G, 0)
-    count = 0
-    for vertices, _ in _blocks(G):
-        count += len(vertices)
-        if sink is not None:
-            vertices.sort(axis=1)
-            for t in vertices.tolist():
-                sink(tuple(t))
-    return count
 
 
 def triangle_vertices(G: Graph) -> np.ndarray:

@@ -22,7 +22,8 @@ triangles whose three vertices all have high degree ("heavy") out of
 that fold and adds them through matrix products on the heavy x heavy
 block instead.
 ``init_witness`` refuses up front a configuration whose estimated
-footprint, every array init allocates, exceeds the cap.
+footprint, every array init allocates, exceeds the cap, or whose matrix
+products exceed a multiply-add ceiling.
 
 The state is single-threaded and mutable; the underlying Graph is shared
 read-only.
@@ -46,6 +47,7 @@ DEFAULT_SEED = 1729
 _INIT_CHUNK = 1024  # (edge, witness) pairs folded per flush during init
 _DRAW_BLOCK = 1 << 16  # float64 draws per block when sampling set membership
 _INIT_MODES = ("direct", "matrix")
+_MATRIX_MULADDS = 1 << 38  # multiply-adds matrix init's products may take
 
 
 @dataclass(frozen=True)
@@ -181,8 +183,9 @@ def init_witness(G: Graph, cfg: WitnessConfig, _xmat=None) -> WitnessState:
 
     Raises ResourceLimitError, before allocating, when the ``_footprint``
     estimate (all of init, not just the table) exceeds
-    ``cfg.mem_cap_bytes``; the returned state keeps it as
-    ``mem_estimate``. ``_xmat`` injects explicit membership for tests.
+    ``cfg.mem_cap_bytes`` or matrix products exceed ``_MATRIX_MULADDS``;
+    the state keeps the footprint as ``mem_estimate``. ``_xmat`` injects
+    explicit membership for tests.
     """
     L, q, b = _resolve(G, cfg)
     n, m = G.n, G.m
@@ -190,6 +193,13 @@ def init_witness(G: Graph, cfg: WitnessConfig, _xmat=None) -> WitnessState:
     if cfg.init_mode == "matrix":
         degrees = np.fromiter(map(len, G.adj), dtype=np.int64, count=n + 1)
         heavy = degrees > m ** (1.0 - b)
+        h = int(np.count_nonzero(heavy))
+        muladds = h**3 * (L + 1)  # L + 1 h x h products, at most, for h heavy vertices
+        if muladds > _MATRIX_MULADDS:
+            raise ResourceLimitError(
+                f"matrix init needs ~{muladds} multiply-adds ({h} heavy vertices, {L} sets), "
+                f"over the {_MATRIX_MULADDS} ceiling; lower --b or use --init direct"
+            )
     needed = _footprint(G, L, heavy)
     if needed > cfg.mem_cap_bytes:
         raise ResourceLimitError(

@@ -71,10 +71,10 @@ def triple_scan_triangles(G):
     out = []
     for a in G.vertices:
         for b in range(a + 1, G.n + 1):
-            if not G.has_edge(a, b):
+            if G.edge_id(a, b) is None:
                 continue
             for c in range(b + 1, G.n + 1):
-                if G.has_edge(a, c) and G.has_edge(b, c):
+                if G.edge_id(a, c) is not None and G.edge_id(b, c) is not None:
                     out.append((a, b, c))
     return out
 

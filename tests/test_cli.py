@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 from trusskit import (
+    ParseError,
     ResourceLimitError,
     WitnessConfig,
     clique_chain,
@@ -30,6 +31,8 @@ from trusskit.cli import (
 )
 
 from .oracles import triple_scan_triangles
+from .test_graphs import PARSE_ERRORS
+from .test_witness import skewed
 
 
 def k5_text():
@@ -197,6 +200,19 @@ def test_output_to_device_written_in_place(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k5.txt"]
 
 
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_error_stderr_and_exit_code(tmp_path, capsysbinary, case):
+    text, error, message = PARSE_ERRORS[case]
+    code, out = run_cli(["truss"], tmp_path, text)
+    if error is ParseError:
+        assert code == EXIT_PARSE == 3
+        assert capsysbinary.readouterr().err == f"trusskit: parse error: {message}\n".encode()
+    else:
+        assert code == EXIT_VALIDATION == 4
+        assert capsysbinary.readouterr().err == f"trusskit: invalid input: {message}\n".encode()
+    assert out == "" and sorted(os.listdir(tmp_path)) == ["in.txt"]
+
+
 def test_self_loop_exit_code(tmp_path):
     code, _ = run_cli(["truss"], tmp_path, "1 1\n")
     assert code == EXIT_VALIDATION
@@ -310,6 +326,17 @@ def test_listing_over_mem_cap_exits_6(tmp_path, monkeypatch, capsys, args, free_
         assert code == free_exit and out == ""  # it has no triangle to list
     else:
         assert code == free_exit and out
+
+
+def test_matrix_init_over_muladd_ceiling_exits_6(tmp_path, capsys):
+    # b = 0.9 makes 2,492 of its 2,500 vertices heavy: 314 dense products,
+    # 4.9e12 multiply-adds, refused before the random sets are drawn
+    g = skewed(2500, 25000, seed=1)
+    args = ["truncated-truss", "--k-trunc", "4", "--init", "matrix", "--b", "0.9"]
+    code, out = run_cli(args, tmp_path, g.serialize())
+    assert code == EXIT_RESOURCE and out == ""
+    assert "multiply-adds" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["in.txt"]
 
 
 def test_triangle_list_peak_within_listing_estimate(tmp_path):

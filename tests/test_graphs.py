@@ -35,7 +35,7 @@ def bowtie():
 def test_parse_triangle():
     g = parse_edge_list("1 2\n2 3\n3 1")
     assert (g.n, g.m) == (3, 3)
-    assert g.has_edge(1, 2) and g.has_edge(2, 3) and g.has_edge(1, 3)
+    assert sorted(g.edges) == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_parse_skips_comments_and_blanks():
@@ -66,6 +66,33 @@ def test_parse_accepts_bytes():
 def test_first_appearance_ids():
     g = parse_edge_list("c a\nb c")
     assert g.labels[1:] == ("c", "a", "b")
+
+
+# each input, its error type and its exact message: line numbers count
+# comment and blank lines, CRLF ends one line, and an indented '#' starts
+# a comment (read as data, "# a a" would be a three-token line)
+PARSE_ERRORS = {
+    "self-loop": ("a b\nb b\n", ValidationError, "line 2: self-loop on 'b'"),
+    "reversed-duplicate": (
+        "a b\n# note\n\nb c\nb a\n", ValidationError, "line 5: duplicate edge 'b' 'a'"
+    ),
+    "three-tokens": ("a b\nb c d\n", ParseError, "line 2: expected two tokens, got 'b c d'"),
+    "crlf": ("a b\r\nb c\r\n\r\nc b\r\n", ValidationError, "line 4: duplicate edge 'c' 'b'"),
+    "indented-comment": ("a b\n   # a a\n\tb b\n", ValidationError, "line 3: self-loop on 'b'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_error_message_and_line(case):
+    text, error, message = PARSE_ERRORS[case]
+    with pytest.raises(error) as info:
+        parse_edge_list(text)
+    assert str(info.value) == message
+
+
+def test_parse_crlf_and_indented_comment():
+    g = parse_edge_list("a b\r\n  # b c\r\n\tb c \r\n")
+    assert g.labels[1:] == ("a", "b", "c") and sorted(g.edges) == [(1, 2), (2, 3)]
 
 
 # -- induced subgraphs (helpers in oracles.py) --------------------------------

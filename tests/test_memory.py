@@ -6,6 +6,7 @@ float64 adjacency matrix on 5,000 vertices is 200 MB, over 13 kB per edge.
 """
 
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -13,12 +14,17 @@ from trusskit import (
     bound_report,
     clique_chain,
     critical_2truss,
+    from_edges,
     is_k_truss,
+    parse_edge_list,
     suspend,
     truss_decomposition,
 )
 
 BYTES_PER_EDGE = 2048
+# parsing holds the text's lines, one label map and the Graph's own edge
+# dict, adjacency and edge tuple, and nothing else per edge
+PARSE_BYTES_PER_EDGE = 320
 
 GRAPHS = {
     "critical_2truss(5000)": (lambda: critical_2truss(5000), 2),
@@ -49,3 +55,30 @@ def test_peak_within_bytes_per_edge(graphs, graph, call):
     finally:
         tracemalloc.stop()
     assert peak <= BYTES_PER_EDGE * G.m, f"{call} peaked at {peak / G.m:.0f} bytes per edge"
+
+
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+def test_parse_peak_within_bytes_per_edge(graphs, graph):
+    G, _ = graphs[graph]
+    text = G.serialize()
+    tracemalloc.start()
+    try:
+        parsed = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed.m == G.m
+    assert peak <= PARSE_BYTES_PER_EDGE * G.m, f"parse peaked at {peak / G.m:.0f} bytes per edge"
+
+
+@pytest.mark.parametrize("build", ["parse_edge_list", "from_edges"])
+def test_edge_tuple_is_its_index_key(build):
+    # each edge is held once: edges[e] is the very key that maps to e
+    pairs = [(v, u) if (u + v) % 2 else (u, v) for u, v in combinations(range(1, 9), 2)]
+    if build == "from_edges":
+        G = from_edges(8, pairs)
+    else:
+        G = parse_edge_list("".join(f"{u} {v}\n" for u, v in pairs))
+    assert len(G._edge_ids) == G.m == 28
+    for key, e in G._edge_ids.items():
+        assert G.edges[e] is key

@@ -13,7 +13,6 @@ from trusskit import (
     ValidationError,
     WitnessConfig,
     enumerate_residual,
-    enumerate_triangles,
     from_edges,
     gnp_random,
     init_witness,
@@ -21,6 +20,8 @@ from trusskit import (
     truncated_decomposition,
     truss_decomposition,
 )
+from trusskit import witness
+from trusskit.triangles import triangle_vertices
 from trusskit.witness import _DRAW_BLOCK, _truncation_cap, run_rounds
 
 from .oracles import residual_common_neighbors, scratch_witness_table
@@ -138,9 +139,21 @@ def heavy_per_triangle(g, b):
     """The numbers of heavy vertices (degree over m^(1-b)) that g's
     triangles have."""
     heavy = {v for v in g.vertices if g.degree(v) > g.m ** (1.0 - b)}
-    kinds = set()
-    enumerate_triangles(g, lambda t: kinds.add(len(heavy.intersection(t))))
-    return kinds
+    return {len(heavy.intersection(t)) for t in triangle_vertices(g).tolist()}
+
+
+def test_matrix_init_muladd_ceiling(monkeypatch):
+    # h^3 (L + 1) for h heavy vertices: refused one under it, run at it
+    g = gnp_random(30, 0.4, seed=1)
+    cfg = WitnessConfig(k_trunc=3, b=0.9, init_mode="matrix")
+    L = init_witness(g, cfg).L
+    h = sum(1 for v in g.vertices if g.degree(v) > g.m ** (1.0 - 0.9))
+    assert h > 0
+    monkeypatch.setattr(witness, "_MATRIX_MULADDS", h**3 * (L + 1) - 1)
+    with pytest.raises(ResourceLimitError, match=f"~{h**3 * (L + 1)} multiply-adds"):
+        init_witness(g, cfg)
+    monkeypatch.setattr(witness, "_MATRIX_MULADDS", h**3 * (L + 1))
+    assert init_witness(g, cfg).L == L
 
 
 @pytest.mark.parametrize("b", [0.5, 2 / 3, 0.9])
