@@ -1,12 +1,13 @@
 """Truss deciders and bound checks.
 
 The k-truss and critical-k-truss deciders work from sparse per-edge
-triangle counts: the critical test runs m single-edge peels that share one
-triangle incidence. The bound report evaluates the structural
-inequalities a correct decomposition can never violate, from the labels
-and one pass over the triangle listing. No path here builds an n x n
-array; the brute-force oracles the tests compare against live with the
-tests.
+triangle counts. The critical test peels G - e for each edge e over one
+triangle incidence and stops at the first edge g whose own peel emptied
+G, as the k-truss of G - e lies in that of G - g: m full peels at worst.
+The bound report evaluates the structural inequalities a correct
+decomposition can never violate, from the labels and one pass over the
+triangle listing. No path here builds an n x n array; the brute-force
+oracles the tests compare against live with the tests.
 
 All functions are read-only over Graph and safe for concurrent use.
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import graphs as gr
 from .graphs import Graph, ValidationError
-from .peel import TrussLabels, _find, peel_to_fixed_point
+from .peel import TrussLabels, _critical_trials, _find
 from .triangles import _blocks, triangle_counts
 
 
@@ -36,21 +37,16 @@ def is_k_truss(G: Graph, k: int) -> bool:
 def is_critical_k_truss(G: Graph, k: int) -> bool:
     """True iff G is a k-truss and no nonempty proper edge subset induces one.
 
-    Decided by m single-edge deletions: the maximal k-truss edge set is
-    unique and monotone under taking subgraphs, so any nonempty proper
-    witness subset would survive peeling inside G minus some edge, and
-    conversely criticality forces every such peel to empty out. One count
-    of the triangles serves the truss test and every peel.
+    The maximal k-truss is unique and monotone under taking subgraphs, so
+    G is critical iff peeling G - e at threshold k empties it for every
+    edge e. If that peel removes g, the k-truss of G - e lies in that of
+    G - g, so it stops at the first g whose own peel emptied G. The worst
+    case is still m full peels, O(m T) for T triangles.
     """
     if G.m == 0 or any(G.degree(v) == 0 for v in G.vertices):
         return False
     counts = triangle_counts(G)
-    if min(counts.per_edge) < k:
-        return False
-    for e in range(G.m):
-        if peel_to_fixed_point(G, k, pre_removed=(e,), counts=counts):
-            return False
-    return True
+    return min(counts.per_edge) >= k and _critical_trials(counts, k)[0]
 
 
 # -- bound report ------------------------------------------------------------

@@ -268,18 +268,11 @@ def _cmd_verify(cfg, G, out):
     p = cfg.params
     kind = p["check"]
     fmt = p.get("format", "table")
-    if kind == "truss":
-        ok = checks.is_k_truss(G, p["k"])
+    if kind != "bounds":
+        critical = kind == "critical"
+        ok = (checks.is_critical_k_truss if critical else checks.is_k_truss)(G, p["k"])
         rows = [{
-            "check": f"is_{p['k']}_truss",
-            "status": "PASS" if ok else "FAIL",
-            "detail": f"n={G.n} m={G.m}",
-        }]
-        return _verify_payload(rows, fmt, out)
-    if kind == "critical":
-        ok = checks.is_critical_k_truss(G, p["k"])
-        rows = [{
-            "check": f"is_critical_{p['k']}_truss",
+            "check": f"is_{'critical_' if critical else ''}{p['k']}_truss",
             "status": "PASS" if ok else "FAIL",
             "detail": f"n={G.n} m={G.m}",
         }]

@@ -6,17 +6,18 @@ a stack drives cascading removals inside a round, and the scan list is a
 plain array compacted lazily by swapping dead entries to the end while it
 is being traversed, so no linked structure is needed. The kernel is given
 the removal step that finds the triangles through a removed edge. The
-exact decomposition and ``peel_to_fixed_point`` walk the edge's row of the
-edge -> triangle incidence built from the triangle listing and kill each
-live triangle once (the triangle-list peel of Wang & Cheng 2012), so a
-whole peel does O(T) removal work for T triangles; the truncated
-decomposition in ``witness`` passes a step that reads the witness table.
+exact decomposition, and the criticality trials at one fixed k, walk the
+edge's row of the edge -> triangle incidence built from the listing and
+kill each live triangle once (the triangle-list peel of Wang & Cheng
+2012), so a whole peel does O(T) removal work for T triangles; the
+truncated decomposition in ``witness`` passes a step that reads the table.
 Each decomposition is a single-threaded state machine; the input Graph is
 only read, so decompositions of different graphs can run concurrently.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from math import isqrt
@@ -201,38 +202,48 @@ def _assert_invariants(G, delta, k, stack):
         assert delta[e] != REMOVED and delta[e] < k, f"stacked edge {e} invalid"
 
 
-def peel_to_fixed_point(
-    G: Graph,
-    k: int,
-    *,
-    pre_removed: tuple[int, ...] = (),
-    counts: TriangleCounts | None = None,
-) -> list[int]:
-    """Edges surviving repeated deletion of edges with < k residual
-    triangles, optionally with some edges deleted up front.
+def _critical_trials(counts: TriangleCounts, k: int) -> tuple[bool, int]:
+    """``is_critical_k_truss`` past its guards, from G's counts with their
+    listing, and the number of triangles its trials killed. Each trial
+    drains breadth-first and rolls back only the triangles it killed; as
+    every count starts at k or more, each removed edge is queued once."""
+    (ptr, tri), listing, base = counts.incidence, counts.listing, counts.per_edge
+    delta, alive = list(base), bytearray(b"\x01") * counts.total
+    empties = bytearray(len(base))  # edges whose trial emptied G
+    killed = array("i")
 
-    ``counts``, from ``triangle_counts(G)``, lets callers share one count,
-    listing and incidence across many calls; each call copies the counts.
-    """
-    m = G.m
-    if m == 0:
-        return []
-    if counts is None:
-        counts = triangle_counts(G)
-    delta = list(counts.per_edge)
-    remove = _triangle_removal(delta, counts)
-    stack: list[int] = []
-    for e in set(pre_removed):
-        if not (0 <= e < m):
-            raise ValidationError(f"edge id {e} out of range")
-        if delta[e] != REMOVED:
-            remove(e, k, stack)
-    stack.extend(e for e in range(m) if delta[e] != REMOVED and delta[e] < k)
-    while stack:
-        e = stack.pop()
-        if delta[e] != REMOVED:
-            remove(e, k, stack)
-    return [e for e in range(m) if delta[e] != REMOVED]
+    def drain(e: int) -> list[int] | None:
+        """Trial e's removed edges in order, or None at one in ``empties``."""
+        queue = [e]
+        for f in queue:
+            for t in tri[ptr[f] : ptr[f + 1]]:
+                if alive[t]:
+                    alive[t] = 0
+                    killed.append(t)
+                    for g in listing[3 * t : 3 * t + 3]:
+                        if g != f:
+                            delta[g] -= 1
+                            if delta[g] == k - 1:
+                                if empties[g]:
+                                    return None
+                                queue.append(g)
+        return queue
+
+    kills, order = 0, [0]  # later trials follow the first one's removal order
+    for e in order:
+        removed = drain(e)
+        kills += len(killed)
+        for t in killed:
+            alive[t] = 1
+            for g in listing[3 * t : 3 * t + 3]:
+                delta[g] = base[g]
+        del killed[:]
+        if removed is not None and len(removed) < len(base):
+            return False, kills
+        if len(order) == 1:
+            order += removed[1:]
+        empties[e] = 1
+    return True, kills
 
 
 def k_truss_components(

@@ -4,7 +4,8 @@ subgraph helpers some tests build their inputs with.
 Each reference takes a road of its own: one all-triples scan for the
 triangles and the per-edge counts, dense adjacency products for the
 decomposition, the truss test and the greedy suspension, every edge
-subset for criticality, plain loops over the residual graph for the
+subset for criticality, neighbour-set recounts for the maximal k-truss
+and the m single-edge peels, plain loops over the residual graph for the
 witness table, and a search per level for the bound report. None of
 them calls the code path it checks. The expensive ones refuse inputs
 past their caps, raising ``CapExceeded`` or failing an assertion, rather
@@ -119,6 +120,38 @@ def is_critical_k_truss_exhaustive(G, k, max_edges=20):
 
     full = (1 << m) - 1
     return is_truss(full) and not any(is_truss(s) for s in range(1, full))
+
+
+def peel_to_fixed_point(G, k):
+    """The maximal k-truss as its edge ids, ascending: recount every
+    residual edge's triangles from neighbour sets and delete all edges on
+    fewer than k, until none is left to delete."""
+    nbrs = [set(a) for a in G.adj]
+    alive = set(range(G.m))
+    while True:
+        low = [e for e in alive if len(nbrs[G.edges[e][0]] & nbrs[G.edges[e][1]]) < k]
+        if not low:
+            return sorted(alive)
+        for e in low:
+            u, v = G.edges[e]
+            nbrs[u].discard(v)
+            nbrs[v].discard(u)
+            alive.discard(e)
+
+
+def single_edge_peels_critical(G, k):
+    """Criticality by m independent reference peels: G has an edge and no
+    isolated vertex, the peel of G keeps every edge, and the peel of each
+    G - e, built afresh, keeps none."""
+    if G.m == 0 or any(G.degree(v) == 0 for v in G.vertices):
+        return False
+    if len(peel_to_fixed_point(G, k)) < G.m:
+        return False
+    labels = G.labels[1:]
+    return not any(
+        peel_to_fixed_point(Graph(labels, G.edges[:e] + G.edges[e + 1 :]), k)
+        for e in range(G.m)
+    )
 
 
 DENSE_CAP = 400

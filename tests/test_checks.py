@@ -1,6 +1,7 @@
 """Truss deciders and bound reporting, and the brute-force oracles they
 are checked against."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -11,15 +12,17 @@ from trusskit import (
     bound_report,
     clique_chain,
     critical_2truss,
+    critical_truss,
     from_edges,
     gnp_random,
     is_critical_k_truss,
     is_k_truss,
+    parse_edge_list,
     triangle_counts,
     truss_decomposition,
 )
 from trusskit.graphs import ValidationError
-from trusskit.peel import TrussLabels
+from trusskit.peel import TrussLabels, _critical_trials
 
 from .oracles import (
     CapExceeded,
@@ -28,6 +31,8 @@ from .oracles import (
     is_critical_k_truss_exhaustive,
     level_bound_checks,
     oracle_truss_decomposition,
+    peel_to_fixed_point,
+    single_edge_peels_critical,
 )
 from .strategies import small_graphs
 
@@ -123,6 +128,84 @@ def test_exhaustive_agrees_with_peel_based():
 def test_exhaustive_cap():
     with pytest.raises(CapExceeded):
         is_critical_k_truss_exhaustive(complete(8), 2)
+
+
+def cycle_join(c, k, seed):
+    """A c-cycle joined to K_k minus a perfect matching (k even), its edge
+    ids in a seeded shuffled order: a critical k-truss for c >= 4."""
+    hubs = range(c + 1, c + k + 1)
+    pairs = [(i, i % c + 1) for i in range(1, c + 1)]
+    pairs += [(a, b) for a, b in combinations(hubs, 2) if b - a != k // 2]
+    pairs += [(v, h) for v in range(1, c + 1) for h in hubs]
+    random.Random(seed).shuffle(pairs)
+    return from_edges(c + k, pairs)
+
+
+def with_chord(g):
+    """g plus the missing edge with the most common neighbours."""
+    nbrs = [set(a) for a in g.adj]
+    _, u, v = max(
+        (len(nbrs[u] & nbrs[v]), u, v)
+        for u, v in combinations(g.vertices, 2)
+        if g.edge_id(u, v) is None
+    )
+    return from_edges(g.n, [*g.edges, (u, v)])
+
+
+def two_copies(g):
+    return from_edges(2 * g.n, [*g.edges, *((u + g.n, v + g.n) for u, v in g.edges)])
+
+
+def diamond():
+    return parse_edge_list("b c\na b\na c\nb d\nc d\n")
+
+
+@given(small_graphs())
+def test_critical_matches_single_edge_peels_hypothesis(G):
+    for k in range(-1, 6):
+        assert is_critical_k_truss(G, k) == single_edge_peels_critical(G, k)
+
+
+def test_critical_matches_single_edge_peels_structured():
+    cases = [diamond(), complete(2), complete(6)]
+    for k in range(2, 7):
+        for n in sorted({k + 4, 2 * k + 4, 3 * k + 2}):
+            g = critical_truss(k, n)
+            cases += [g, with_chord(g), two_copies(g)]
+    for c, k in [(5, 2), (9, 4), (20, 4), (7, 6)]:
+        for seed in range(3):
+            g = cycle_join(c, k, seed)
+            cases += [g, with_chord(g)]
+    cases += [clique_chain(k, s) for k in range(1, 5) for s in (1, 2, 3)]
+    for g in cases:
+        for k in range(-1, 6):
+            assert is_critical_k_truss(g, k) == single_edge_peels_critical(g, k), (g, k)
+
+
+def test_critical_diamond_first_trial_empties_a_later_one_does_not():
+    # deleting b-c (edge 0) empties the 1-truss, deleting any other edge
+    # leaves one of its two triangles
+    g = diamond()
+    for e in range(g.m):
+        kept = peel_to_fixed_point(from_edges(4, g.edges[:e] + g.edges[e + 1 :]), 1)
+        assert len(kept) == (0 if e == 0 else 3)
+    assert not is_critical_k_truss(g, 1)
+
+
+@pytest.mark.parametrize(
+    "name, make, k",
+    [
+        ("cycle_join(150, 4)", lambda: cycle_join(150, 4, seed=1), 4),
+        ("critical_2truss(1000)", lambda: critical_2truss(1000), 2),
+        ("critical_truss(4, 400)", lambda: critical_truss(4, 400), 4),
+    ],
+)
+def test_critical_trials_kill_at_most_four_per_triangle(name, make, k):
+    # m independent peels would kill every triangle m times over
+    counts = triangle_counts(make())
+    critical, kills = _critical_trials(counts, k)
+    assert critical
+    assert kills <= 4 * counts.total, f"{name}: {kills / counts.total:.2f} kills per triangle"
 
 
 # -- bound report ---------------------------------------------------------------

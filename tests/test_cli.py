@@ -134,6 +134,24 @@ def test_generate_then_verify_critical(tmp_path, capsys):
     assert "PASS" in report
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_verify_critical_generated_truss_and_with_chord(tmp_path, fmt):
+    code, text = run_cli(["generate", "critical", "--k", "4", "--n", "400"], tmp_path)
+    assert code == EXIT_OK
+    args = ["verify", "critical", "--k", "4", "--format", fmt]
+    code, report = run_cli(args, tmp_path, text)
+    assert code == EXIT_OK and "PASS" in report and "FAIL" not in report
+    # a chord on enough triangles keeps a 4-truss that is no longer critical
+    g = parse_edge_list(text)
+    nbrs = [set(a) for a in g.adj]
+    u, v = next(
+        (u, v) for u, v in combinations(g.vertices, 2)
+        if g.edge_id(u, v) is None and len(nbrs[u] & nbrs[v]) >= 4
+    )
+    code, report = run_cli(args, tmp_path, text + f"{g.labels[u]} {g.labels[v]}\n")
+    assert code == EXIT_VERIFY_FAILED and "FAIL" in report and "PASS" not in report
+
+
 def test_generate_pipeline_all_generators(tmp_path):
     gens = [
         ["generate", "clique-chain", "--k", "2", "--s", "3"],

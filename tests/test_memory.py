@@ -14,10 +14,13 @@ from trusskit import (
     bound_report,
     clique_chain,
     critical_2truss,
+    critical_truss,
     from_edges,
+    is_critical_k_truss,
     is_k_truss,
     parse_edge_list,
     suspend,
+    triangle_counts,
     truss_decomposition,
 )
 
@@ -33,6 +36,7 @@ GRAPHS = {
 
 CALLS = {
     "is_k_truss": lambda G, k: is_k_truss(G, k),
+    "is_critical_k_truss": lambda G, k: is_critical_k_truss(G, k),
     "bound_report": lambda G, k: bound_report(G, truss_decomposition(G)),
     "suspend": lambda G, k: suspend(G, k, 1),
 }
@@ -55,6 +59,27 @@ def test_peak_within_bytes_per_edge(graphs, graph, call):
     finally:
         tracemalloc.stop()
     assert peak <= BYTES_PER_EDGE * G.m, f"{call} peaked at {peak / G.m:.0f} bytes per edge"
+
+
+@pytest.mark.parametrize(
+    "make, k",
+    [
+        (lambda: from_edges(40, combinations(range(1, 41), 2)), 38),
+        (lambda: critical_truss(4, 400), 4),
+    ],
+    ids=["K_40", "critical_truss(4, 400)"],
+)
+def test_critical_peak_within_listing_estimate(make, k):
+    # the trials' counts, flags and journals fit in what the listing reserved
+    G = make()
+    estimate = triangle_counts(G).mem_estimate
+    tracemalloc.start()
+    try:
+        assert is_critical_k_truss(G, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate, f"peak {peak} over the listing estimate {estimate}"
 
 
 @pytest.mark.parametrize("graph", sorted(GRAPHS))

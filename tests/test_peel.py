@@ -16,9 +16,9 @@ from trusskit import (
     truss_decomposition,
 )
 from trusskit.graphs import degeneracy
-from trusskit.peel import instrumented_truss_decomposition, peel_to_fixed_point
+from trusskit.peel import instrumented_truss_decomposition
 
-from .oracles import induced_by_edges, oracle_truss_decomposition
+from .oracles import induced_by_edges, oracle_truss_decomposition, peel_to_fixed_point
 from .strategies import small_graphs
 
 
@@ -66,7 +66,7 @@ def test_internal_invariants_hold(G):
     assert labels.tau == oracle_truss_decomposition(G).tau
 
 
-# the maximal k-truss: the edges peel_to_fixed_point keeps
+# the maximal k-truss: the edges the reference peel keeps
 
 
 def test_max_k_truss_k5():
