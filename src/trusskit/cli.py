@@ -65,13 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact tau below --k-trunc, lower-bound marker at or above it",
     )
     tt.add_argument("--k-trunc", type=int, required=True)
-    tt.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    tt.add_argument("--sets", type=int, default=None, help="random set count L")
-    tt.add_argument("--prob", type=float, default=None, help="inclusion probability q")
-    tt.add_argument("--init", choices=("direct", "matrix"), default="direct")
-    tt.add_argument("--b", type=float, default=None, help="heavy/light exponent")
-    tt.add_argument("--mem-cap", type=int, default=None,
-                    help="bytes witness init may allocate (default: $TRUSSKIT_MEM_CAP or 4 GiB)")
+    tt.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                    help="accepted for compatibility; the output never depends on it")
 
     comp = sub.add_parser("components", help="k-truss component per edge")
     comp.add_argument("--k", type=int, required=True)
@@ -201,17 +196,7 @@ def _cmd_truss(cfg, G, out):
 
 
 def _cmd_truncated(cfg, G, out):
-    p = cfg.params
-    wc = WitnessConfig(
-        k_trunc=p["k_trunc"],
-        seed=p["seed"],
-        sets=p.get("sets"),
-        prob=p.get("prob"),
-        b=p.get("b"),
-        init_mode=p.get("init", "direct"),
-        mem_cap_bytes=triangles.mem_cap() if p["mem_cap"] is None else p["mem_cap"],
-    )
-    labels = witness.truncated_decomposition(G, wc)
+    labels = peel.truss_decomposition(G, k_trunc=cfg.params["k_trunc"])
     mark = ("lower_bound", "exact")
     _write_edge_rows(G, [f"{t}\t{mark[x]}" for t, x in zip(labels.tau, labels.exact)], out)
     return EXIT_OK

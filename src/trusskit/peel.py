@@ -9,8 +9,10 @@ the removal step that finds the triangles through a removed edge. The
 exact decomposition, and the criticality trials at one fixed k, walk the
 edge's row of the edge -> triangle incidence built from the listing and
 kill each live triangle once (the triangle-list peel of Wang & Cheng
-2012), so a whole peel does O(T) removal work for T triangles; the
-truncated decomposition in ``witness`` passes a step that reads the table.
+2012), so a whole peel does O(T) removal work for T triangles. The
+truncated decomposition is the same peel stopped after round k_trunc;
+the witness engine in ``witness`` runs those rounds with a step that
+reads its table instead.
 Each decomposition is a single-threaded state machine; the input Graph is
 only read, so decompositions of different graphs can run concurrently.
 """
@@ -61,35 +63,65 @@ class PeelStats:
     removal_steps: int = 0
 
 
-def truss_decomposition(G: Graph, *, check_invariants: bool = False) -> TrussLabels:
-    labels, _ = instrumented_truss_decomposition(G, check_invariants=check_invariants)
+def truss_decomposition(
+    G: Graph, *, k_trunc: int | None = None, check_invariants: bool = False
+) -> TrussLabels:
+    labels, _ = instrumented_truss_decomposition(
+        G, k_trunc=k_trunc, check_invariants=check_invariants
+    )
     return labels
 
 
 def instrumented_truss_decomposition(
-    G: Graph, *, check_invariants: bool = False
+    G: Graph, *, k_trunc: int | None = None, check_invariants: bool = False
 ) -> tuple[TrussLabels, PeelStats]:
-    """Compute exact tau(e) for every edge, with work counters.
+    """Compute tau(e) for every edge, exact or truncated at ``k_trunc``,
+    with work counters.
 
     Runs the peeling rounds with the triangle-incidence removal step; the
     round counter never needs to pass sqrt(2m) or the largest initial
-    count plus one. ``check_invariants`` re-derives the residual counts
-    from the adjacency at round boundaries and asserts the stack
-    discipline; intended for tests, quadratic-ish cost.
+    count plus one. Given ``k_trunc``, the peel stops after round k_trunc,
+    as the witness engine's ``run_rounds`` does: the edges it removed get
+    their exact tau, below k_trunc, and the rest the lower bound k_trunc.
+    ``check_invariants`` re-derives the residual counts from the adjacency
+    at round boundaries and asserts the stack discipline; intended for
+    tests, quadratic-ish cost.
     """
     m = G.m
+    if k_trunc is not None:
+        _check_k_trunc(k_trunc, m)
     if m == 0:
-        return TrussLabels([], [], None), PeelStats()
+        return TrussLabels([], [], k_trunc), PeelStats()
     counts = triangle_counts(G)
     delta = list(counts.per_edge)
-    tau = [0] * m
     remove = _triangle_removal(delta, counts)
     check = partial(_assert_invariants, G, delta) if check_invariants else None
-
-    k_stop = min(isqrt(2 * m), max(delta) + 1)
+    k_stop = k_trunc or min(isqrt(2 * m), max(delta) + 1)
+    tau = [k_stop] * m
     residual, stats = _peel(delta, k_stop, remove, tau, check)
+    if k_trunc:
+        return TrussLabels(tau, [t < k_trunc for t in tau], k_trunc), stats
     assert residual == 0, "peeling failed to remove every edge"
     return TrussLabels(tau, [True] * m, None), stats
+
+
+def _truncation_cap(m: int) -> int:
+    """ceil(sqrt(2m)), which no trussness of an m-edge graph reaches."""
+    cap = isqrt(2 * m)
+    if cap * cap < 2 * m:
+        cap += 1
+    return cap
+
+
+def _check_k_trunc(k_trunc: int, m: int) -> None:
+    """Refuse a k_trunc below 1, or above ceil(sqrt(2m)) on a graph with
+    edges; an empty graph has nothing to truncate."""
+    if k_trunc < 1:
+        raise ValidationError("k_trunc must be positive")
+    if m and k_trunc > _truncation_cap(m):
+        raise ValidationError(
+            f"k_trunc={k_trunc} exceeds ceil(sqrt(2m))={_truncation_cap(m)} for m={m}"
+        )
 
 
 def _peel(delta, k_stop, remove, tau, check=None) -> tuple[int, PeelStats]:

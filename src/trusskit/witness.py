@@ -10,7 +10,9 @@ output exact (and therefore seed-independent) when the row misses some.
 Removing an edge subtracts the vanished endpoints' ids from the affected
 rows, keeping the table consistent without recomputation. The truncated
 decomposition is the exact peel's kernel (``peel._peel``) stopped after
-round k_trunc, with enumeration plus removal as its removal step.
+round k_trunc, with enumeration plus removal as its removal step. It is
+a library path, timed by ``bench --k-trunc``; ``truncated-truss`` stops
+the exact peel after the same round instead.
 
 Initialization reads the triangle listing block by block: each
 triangle's vertex witnesses the edge opposite it, and every chunk of
@@ -38,7 +40,7 @@ from itertools import chain
 import numpy as np
 
 from .graphs import Graph, ValidationError
-from .peel import REMOVED, TrussLabels, _peel
+from .peel import REMOVED, TrussLabels, _check_k_trunc, _peel
 from .triangles import ResourceLimitError, mem_cap, ordered_endpoints
 from .triangles import _WEDGE_BLOCK, _blocks, _footprint as _listing_footprint
 
@@ -111,24 +113,12 @@ class WitnessState:
         return [e for e in range(self.G.m) if self.delta[e] != REMOVED]
 
 
-def _truncation_cap(m: int) -> int:
-    cap = math.isqrt(2 * m)
-    if cap * cap < 2 * m:
-        cap += 1
-    return cap
-
-
 def _resolve(G: Graph, cfg: WitnessConfig) -> tuple[int, float, float]:
     n, m = G.n, G.m
     k = cfg.k_trunc
-    if k < 1:
-        raise ValidationError("k_trunc must be positive")
+    _check_k_trunc(k, m)
     if cfg.init_mode not in _INIT_MODES:
         raise ValidationError(f"unknown init_mode {cfg.init_mode!r}")
-    if k > _truncation_cap(m):
-        raise ValidationError(
-            f"k_trunc={k} exceeds ceil(sqrt(2m))={_truncation_cap(m)} for m={m}"
-        )
     q = cfg.prob if cfg.prob is not None else 1.0 / k
     if not (0.0 < q <= 1.0):
         raise ValidationError(f"inclusion probability q={q} outside (0, 1]")
@@ -388,8 +378,7 @@ def truncated_decomposition(G: Graph, cfg: WitnessConfig) -> TrussLabels:
     table. The randomness only affects how often the fallback scan runs,
     never the labels, so the output is seed-independent.
     """
-    if cfg.k_trunc < 1:
-        raise ValidationError("k_trunc must be positive")
+    _check_k_trunc(cfg.k_trunc, G.m)
     if G.m == 0:
         return TrussLabels([], [], cfg.k_trunc)
     return run_rounds(init_witness(G, cfg))

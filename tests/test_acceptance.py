@@ -27,8 +27,9 @@ from trusskit import (
     remove_edge,
     truncated_decomposition,
 )
+from trusskit.peel import _truncation_cap
 from trusskit.triangles import triangle_counts, triangle_vertices
-from trusskit.witness import _truncation_cap, run_rounds
+from trusskit.witness import run_rounds
 
 from .oracles import brute_force_triangles, oracle_truss_decomposition, scratch_witness_table
 

@@ -11,6 +11,7 @@ import pytest
 from trusskit import (
     ParseError,
     ResourceLimitError,
+    ValidationError,
     WitnessConfig,
     clique_chain,
     from_edges,
@@ -19,6 +20,7 @@ from trusskit import (
     parse_edge_list,
     triangle_counts,
     truncated_decomposition,
+    witness,
 )
 from trusskit.cli import (
     EXIT_INFEASIBLE,
@@ -29,6 +31,8 @@ from trusskit.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from trusskit.peel import _truncation_cap
+from trusskit.witness import DEFAULT_SEED
 
 from .oracles import triple_scan_triangles
 from .test_graphs import PARSE_ERRORS
@@ -114,6 +118,94 @@ def test_truncated_exact_marker(tmp_path):
     code, out = run_cli(["truncated-truss", "--k-trunc", "4"], tmp_path, k5_text())
     assert code == EXIT_OK
     assert all(l.split("\t")[2:] == ["3", "exact"] for l in out.strip().splitlines())
+
+
+TRUNC_GRAPHS = {
+    "k5": lambda: parse_edge_list(k5_text()),
+    "bowtie": lambda: from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)]),
+    "clique_chain": lambda: clique_chain(2, 3),
+    "skewed": lambda: skewed(400, 3000, seed=4),
+    "empty": lambda: from_edges(0, []),
+}
+
+
+def truncated_rows(g, labels):
+    """The rows ``truncated-truss`` writes for ``labels``."""
+    mark = ("lower_bound", "exact")
+    lab, edges = g.labels, g.edges
+    order = sorted(range(g.m), key=edges.__getitem__)
+    return "".join(
+        f"{lab[edges[e][0]]}\t{lab[edges[e][1]]}\t{labels.tau[e]}\t{mark[labels.exact[e]]}\n"
+        for e in order
+    )
+
+
+@pytest.mark.parametrize("name", sorted(TRUNC_GRAPHS))
+def test_truncated_matches_the_witness_engine(tmp_path, capsys, name):
+    # the command runs the stopped peel; the witness engine, at two seeds,
+    # gives the same rows or refuses k_trunc with the same message
+    text = TRUNC_GRAPHS[name]().serialize()
+    g = parse_edge_list(text)  # the graph the command reads, with its edge ids
+    cap = _truncation_cap(g.m)
+    for k_trunc in (-1, 0, 1, 2, 3, 4, 5, cap, cap + 1):
+        (tmp_path / "out.txt").unlink(missing_ok=True)
+        args = ["truncated-truss", "--k-trunc", str(k_trunc)]
+        code, out = run_cli(args, tmp_path, text)
+        err = capsys.readouterr().err
+        for seed in (DEFAULT_SEED, 7):
+            try:
+                labels = truncated_decomposition(g, WitnessConfig(k_trunc, seed=seed))
+            except ValidationError as exc:
+                want = (EXIT_VALIDATION, "", f"trusskit: invalid input: {exc}\n")
+            else:
+                want = (EXIT_OK, truncated_rows(g, labels), "")
+            assert (code, out, err) == want, (k_trunc, seed)
+
+
+def test_truncated_held_to_the_listing_not_the_table(tmp_path, monkeypatch, capsys):
+    # a cap between the listing estimate and witness init's footprint: the
+    # command runs, the witness engine is refused
+    g = skewed(400, 3000, seed=4)
+    k_trunc = 3
+    listing = triangle_counts(g).mem_estimate
+    L = witness._resolve(g, WitnessConfig(k_trunc))[0]
+    table = witness._footprint(g, L, None)
+    cap = (listing + table) // 2
+    assert listing < cap < table
+    code, truss_rows = run_cli(["truss"], tmp_path, g.serialize())
+    assert code == EXIT_OK
+    want = []
+    for row in truss_rows.splitlines():
+        u, v, tau = row.split("\t")
+        mark = "exact" if int(tau) < k_trunc else "lower_bound"
+        want.append(f"{u}\t{v}\t{min(int(tau), k_trunc)}\t{mark}\n")
+    monkeypatch.setenv("TRUSSKIT_MEM_CAP", str(cap))
+    code, out = run_cli(["truncated-truss", "--k-trunc", str(k_trunc)], tmp_path, g.serialize())
+    assert code == EXIT_OK and out == "".join(want)
+    assert capsys.readouterr().err == ""
+    with pytest.raises(ResourceLimitError, match=f"{cap}-byte cap"):
+        truncated_decomposition(g, WitnessConfig(k_trunc))
+
+
+def test_dense_truncated_refused_where_the_witness_fits(tmp_path, monkeypatch, capsys):
+    # the other side of the trade: on K_120 the listing's ~56 B per
+    # triangle (17.5 MB) outgrows the witness footprint at k_trunc 2
+    # (12.4 MB), so a cap between the two refuses the command while the
+    # library's witness engine still runs
+    n, k_trunc = 120, 2
+    g = from_edges(n, combinations(range(1, n + 1), 2))
+    listing = triangle_counts(g).mem_estimate
+    L = witness._resolve(g, WitnessConfig(k_trunc))[0]
+    table = witness._footprint(g, L, None)
+    cap = (listing + table) // 2
+    assert table < cap < listing
+    monkeypatch.setenv("TRUSSKIT_MEM_CAP", str(cap))
+    code, out = run_cli(["truncated-truss", "--k-trunc", str(k_trunc)], tmp_path, g.serialize())
+    assert code == EXIT_RESOURCE and out == ""
+    assert f"{cap}-byte cap" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["in.txt"]
+    labels = truncated_decomposition(g, WitnessConfig(k_trunc))
+    assert labels.tau == [k_trunc] * g.m and not any(labels.exact)
 
 
 def test_components(tmp_path):
@@ -277,19 +369,15 @@ def test_mem_cap_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("TRUSSKIT_MEM_CAP", "64")
     code, _ = run_cli(["truncated-truss", "--k-trunc", "2"], tmp_path, k5_text())
     assert code == EXIT_RESOURCE
-    # explicit flag beats the environment
-    code, out = run_cli(
-        ["truncated-truss", "--k-trunc", "2", "--mem-cap", str(2**30)],
-        tmp_path,
-        k5_text(),
-    )
-    assert code == EXIT_OK and out
+    # an explicit cap beats the environment
+    g = parse_edge_list(k5_text())
+    assert truncated_decomposition(g, WitnessConfig(k_trunc=2, mem_cap_bytes=2**30)).tau
     # the library's default cap reads the same environment
     with pytest.raises(ResourceLimitError, match="64-byte cap"):
-        truncated_decomposition(parse_edge_list(k5_text()), WitnessConfig(k_trunc=2))
+        truncated_decomposition(g, WitnessConfig(k_trunc=2))
 
 
-def test_mem_cap_covers_more_than_the_table(tmp_path):
+def test_mem_cap_covers_more_than_the_table():
     g = gnp_random(60, 0.3, seed=5)
     tracemalloc.start()
     try:
@@ -300,12 +388,8 @@ def test_mem_cap_covers_more_than_the_table(tmp_path):
     table_only = g.m * state.L * 8 + (g.n + 1) * state.L
     cap = (table_only + peak) // 2
     assert table_only < cap < peak
-    code, out = run_cli(
-        ["truncated-truss", "--k-trunc", "3", "--mem-cap", str(cap)],
-        tmp_path,
-        g.serialize(),
-    )
-    assert code == EXIT_RESOURCE and out == ""
+    with pytest.raises(ResourceLimitError, match=f"{cap}-byte cap"):
+        truncated_decomposition(g, WitnessConfig(k_trunc=3, mem_cap_bytes=cap))
 
 
 # commands that read only the triangle counts keep no listing, so K_30
@@ -322,6 +406,7 @@ COUNT_ONLY = (["stats"], ["triangles", "--counts"], ["verify", "truss", "--k", "
         (["triangles", "--counts"], EXIT_OK),
         (["verify", "truss", "--k", "1"], EXIT_VERIFY_FAILED),
         (["triangles"], EXIT_OK),
+        (["truncated-truss", "--k-trunc", "4"], EXIT_OK),
     ],
 )
 def test_listing_over_mem_cap_exits_6(tmp_path, monkeypatch, capsys, args, free_exit):
@@ -346,15 +431,13 @@ def test_listing_over_mem_cap_exits_6(tmp_path, monkeypatch, capsys, args, free_
         assert code == free_exit and out
 
 
-def test_matrix_init_over_muladd_ceiling_exits_6(tmp_path, capsys):
+def test_matrix_init_over_muladd_ceiling_exits_6():
     # b = 0.9 makes 2,492 of its 2,500 vertices heavy: 314 dense products,
     # 4.9e12 multiply-adds, refused before the random sets are drawn
     g = skewed(2500, 25000, seed=1)
-    args = ["truncated-truss", "--k-trunc", "4", "--init", "matrix", "--b", "0.9"]
-    code, out = run_cli(args, tmp_path, g.serialize())
-    assert code == EXIT_RESOURCE and out == ""
-    assert "multiply-adds" in capsys.readouterr().err
-    assert sorted(os.listdir(tmp_path)) == ["in.txt"]
+    cfg = WitnessConfig(k_trunc=4, init_mode="matrix", b=0.9)
+    with pytest.raises(ResourceLimitError, match="multiply-adds"):
+        truncated_decomposition(g, cfg)
 
 
 def test_triangle_list_peak_within_listing_estimate(tmp_path):

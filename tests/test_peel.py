@@ -1,5 +1,6 @@
 """Full truss decomposition against the naive re-scanning oracle."""
 
+import re
 from itertools import combinations
 
 import pytest
@@ -16,7 +17,7 @@ from trusskit import (
     truss_decomposition,
 )
 from trusskit.graphs import degeneracy
-from trusskit.peel import instrumented_truss_decomposition
+from trusskit.peel import _truncation_cap, instrumented_truss_decomposition
 
 from .oracles import induced_by_edges, oracle_truss_decomposition, peel_to_fixed_point
 from .strategies import small_graphs
@@ -166,3 +167,28 @@ def test_tau_upper_bounds(G):
 def test_empty_graph():
     labels = truss_decomposition(from_edges(0, []))
     assert labels.tau == []
+
+
+@given(small_graphs())
+def test_stopped_peel_equals_clamped_labels(G):
+    full = truss_decomposition(G).tau
+    total = triangle_counts(G).total
+    for k_trunc in range(1, _truncation_cap(G.m) + 1):
+        labels, stats = instrumented_truss_decomposition(G, k_trunc=k_trunc)
+        assert labels.tau == [min(t, k_trunc) for t in full]
+        assert labels.exact == [t < k_trunc for t in full]
+        assert labels.truncated_at == k_trunc
+        assert stats.removal_steps <= total
+
+
+def test_stopped_peel_k_trunc_checks():
+    g = bowtie()  # m = 6, cap = ceil(sqrt(12)) = 4
+    truss_decomposition(g, k_trunc=4)
+    for k_trunc, message in ((0, "k_trunc must be positive"),
+                             (5, "k_trunc=5 exceeds ceil(sqrt(2m))=4 for m=6")):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            truss_decomposition(g, k_trunc=k_trunc)
+    empty = truss_decomposition(from_edges(0, []), k_trunc=3)
+    assert (empty.tau, empty.exact, empty.truncated_at) == ([], [], 3)
+    with pytest.raises(ValidationError, match="k_trunc must be positive"):
+        truss_decomposition(from_edges(0, []), k_trunc=0)

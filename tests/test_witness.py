@@ -22,7 +22,8 @@ from trusskit import (
 )
 from trusskit import witness
 from trusskit.triangles import triangle_vertices
-from trusskit.witness import _DRAW_BLOCK, _truncation_cap, run_rounds
+from trusskit.peel import _truncation_cap
+from trusskit.witness import _DRAW_BLOCK, run_rounds
 
 from .oracles import residual_common_neighbors, scratch_witness_table
 
