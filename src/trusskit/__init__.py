@@ -9,7 +9,6 @@ from .graphs import (
     DegeneracyReport,
     degeneracy,
     from_edges,
-    from_pairs,
     parse_edge_list,
 )
 from .triangles import TriangleCounts, triangle_counts

@@ -92,7 +92,7 @@ def bound_report(G: Graph, labels: TrussLabels) -> BoundReport:
     tau(e) vs sqrt(2m + 1/4) - 3/2 and tau(e) vs degeneracy - 1.
     Comparisons use integers only (square-root bounds are squared).
     """
-    if not labels.all_exact or labels.truncated_at is not None:
+    if labels.truncated_at is not None:
         raise ValidationError("bound report needs exact, untruncated labels")
     if len(labels.tau) != G.m:
         raise ValidationError("labels do not match graph")

@@ -1,9 +1,10 @@
 """Command-line front end: stats, triangles, truss, truncated-truss,
 components, generate, verify, bench.
 
-All randomness flows from one seed in the run configuration, so every
-subcommand except the wall-clock columns of ``bench`` produces identical
-bytes for identical input and flags.
+Only ``bench --k-trunc`` draws random numbers, the witness engine's sets
+from ``--seed``, and they change only its fallback rate; every subcommand
+except the wall-clock rows of ``bench`` writes identical bytes for
+identical input and flags. Each handler reads the parsed arguments.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,15 +31,6 @@ EXIT_RESOURCE = 6
 EXIT_IO = 7
 
 _ROWS = 1024  # rows formatted per write
-
-
-@dataclass
-class RunConfig:
-    command: str
-    params: dict = field(default_factory=dict)
-    input_path: str | None = None
-    output_path: str | None = None
-    verbosity: int = 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact tau below --k-trunc, lower-bound marker at or above it",
     )
     tt.add_argument("--k-trunc", type=int, required=True)
-    tt.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                    help="accepted for compatibility; the output never depends on it")
 
     comp = sub.add_parser("components", help="k-truss component per edge")
     comp.add_argument("--k", type=int, required=True)
@@ -110,24 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    params = {
-        k: v
-        for k, v in vars(ns).items()
-        if k not in ("command", "input", "output", "verbose")
-    }
-    return RunConfig(
-        command=ns.command,
-        params=params,
-        input_path=ns.input,
-        output_path=ns.output,
-        verbosity=ns.verbose,
-    )
-
-
-def _read_graph(cfg: RunConfig) -> Graph:
-    if cfg.input_path:
-        with open(cfg.input_path, "rb") as fh:
+def _read_graph(ns: argparse.Namespace) -> Graph:
+    if ns.input:
+        with open(ns.input, "rb") as fh:
             data = fh.read()
     else:
         data = sys.stdin.buffer.read()
@@ -147,7 +121,7 @@ def _write_edge_rows(G: Graph, values, out) -> None:
 # -- subcommands --------------------------------------------------------------
 
 
-def _cmd_stats(cfg, G, out):
+def _cmd_stats(ns, G, out):
     report = graphs.degeneracy(G)
     tc = triangles.triangle_counts(G, keep_listing=False)
     avg = report.average_degeneracy
@@ -159,8 +133,8 @@ def _cmd_stats(cfg, G, out):
     return EXIT_OK
 
 
-def _cmd_triangles(cfg, G, out):
-    if cfg.params.get("counts"):
+def _cmd_triangles(ns, G, out):
+    if ns.counts:
         tc = triangles.triangle_counts(G, keep_listing=False)
         _write_edge_rows(G, tc.per_edge, out)
         return EXIT_OK
@@ -185,9 +159,9 @@ def _label_ranks(labels, suffix: str) -> np.ndarray:
     return rank
 
 
-def _cmd_truss(cfg, G, out):
+def _cmd_truss(ns, G, out):
     labels = peel.truss_decomposition(G)
-    if cfg.params.get("histogram"):
+    if ns.histogram:
         for k, cnt in labels.histogram().items():
             out.write(f"{k}\t{cnt}\n")
     else:
@@ -195,17 +169,16 @@ def _cmd_truss(cfg, G, out):
     return EXIT_OK
 
 
-def _cmd_truncated(cfg, G, out):
-    labels = peel.truss_decomposition(G, k_trunc=cfg.params["k_trunc"])
+def _cmd_truncated(ns, G, out):
+    labels = peel.truss_decomposition(G, k_trunc=ns.k_trunc)
     mark = ("lower_bound", "exact")
     _write_edge_rows(G, [f"{t}\t{mark[x]}" for t, x in zip(labels.tau, labels.exact)], out)
     return EXIT_OK
 
 
-def _cmd_components(cfg, G, out):
-    k = cfg.params["k"]
+def _cmd_components(ns, G, out):
     labels = peel.truss_decomposition(G)
-    comps = peel.k_truss_components(G, k, labels)
+    comps = peel.k_truss_components(G, ns.k, labels)
     comp_of = [None] * G.m
     for cid, edges in enumerate(comps):
         for e in edges:
@@ -214,23 +187,22 @@ def _cmd_components(cfg, G, out):
     return EXIT_OK
 
 
-def _cmd_generate(cfg, out):
-    p = cfg.params
-    name = p["generator"]
+def _cmd_generate(ns, out):
+    name = ns.generator
     if name == "clique-chain":
-        g, receipt = generators.clique_chain(p["k"], p["s"], return_receipt=True)
+        g, receipt = generators.clique_chain(ns.k, ns.s, return_receipt=True)
     elif name == "chain-remainder":
-        g, receipt = generators.clique_chain_remainder(p["k"], p["n"], return_receipt=True)
+        g, receipt = generators.clique_chain_remainder(ns.k, ns.n, return_receipt=True)
     elif name == "critical-2truss":
-        g, receipt = generators.critical_2truss(p["n"], return_receipt=True)
+        g, receipt = generators.critical_2truss(ns.n, return_receipt=True)
     elif name == "suspend":
-        base = _read_graph(cfg)
-        g, receipt = generators.suspend(base, p["k"], p["added"], return_receipt=True)
+        base = _read_graph(ns)
+        g, receipt = generators.suspend(base, ns.k, ns.added, return_receipt=True)
     elif name == "torus-critical":
-        emb = generators.torus_embedding(p["i"], p["t"])
-        g, receipt = generators.truss_from_embedding(emb, p["k"], return_receipt=True)
+        emb = generators.torus_embedding(ns.i, ns.t)
+        g, receipt = generators.truss_from_embedding(emb, ns.k, return_receipt=True)
     else:
-        g, receipt = generators.critical_truss(p["k"], p["n"], return_receipt=True)
+        g, receipt = generators.critical_truss(ns.k, ns.n, return_receipt=True)
     out.write(g.serialize())
     for line in receipt.lines():
         print(line, file=sys.stderr)
@@ -249,19 +221,16 @@ def _verify_payload(rows, fmt, out):
     return EXIT_OK if all(r["status"] == "PASS" for r in rows) else EXIT_VERIFY_FAILED
 
 
-def _cmd_verify(cfg, G, out):
-    p = cfg.params
-    kind = p["check"]
-    fmt = p.get("format", "table")
-    if kind != "bounds":
-        critical = kind == "critical"
-        ok = (checks.is_critical_k_truss if critical else checks.is_k_truss)(G, p["k"])
+def _cmd_verify(ns, G, out):
+    if ns.check != "bounds":
+        critical = ns.check == "critical"
+        ok = (checks.is_critical_k_truss if critical else checks.is_k_truss)(G, ns.k)
         rows = [{
-            "check": f"is_{'critical_' if critical else ''}{p['k']}_truss",
+            "check": f"is_{'critical_' if critical else ''}{ns.k}_truss",
             "status": "PASS" if ok else "FAIL",
             "detail": f"n={G.n} m={G.m}",
         }]
-        return _verify_payload(rows, fmt, out)
+        return _verify_payload(rows, ns.format, out)
     labels = peel.truss_decomposition(G)
     report = checks.bound_report(G, labels)
     rows = [
@@ -273,10 +242,10 @@ def _cmd_verify(cfg, G, out):
         }
         for c in report.checks
     ]
-    return _verify_payload(rows, fmt, out)
+    return _verify_payload(rows, ns.format, out)
 
 
-def _cmd_bench(cfg, G, out):
+def _cmd_bench(ns, G, out):
     t0 = time.perf_counter()
     labels, stats = peel.instrumented_truss_decomposition(G)
     dt = time.perf_counter() - t0
@@ -292,9 +261,8 @@ def _cmd_bench(cfg, G, out):
     out.write(f"m_times_avg_degeneracy\t{m_dbar}\n")
     out.write(f"scan_ratio\t{ratio:.4f}\n")
     out.write(f"max_tau\t{max(labels.tau) if labels.tau else 0}\n")
-    kt = cfg.params.get("k_trunc")
-    if kt is not None and G.m:
-        wc = WitnessConfig(kt, seed=cfg.params["seed"])
+    if ns.k_trunc is not None and G.m:
+        wc = WitnessConfig(ns.k_trunc, seed=ns.seed)
         t0 = time.perf_counter()
         state = witness.init_witness(G, wc)
         witness.run_rounds(state)
@@ -310,10 +278,10 @@ def _cmd_bench(cfg, G, out):
     return EXIT_OK
 
 
-def _dispatch(cfg: RunConfig, out) -> int:
-    if cfg.command == "generate":
-        return _cmd_generate(cfg, out)
-    G = _read_graph(cfg)
+def _dispatch(ns: argparse.Namespace, out) -> int:
+    if ns.command == "generate":
+        return _cmd_generate(ns, out)
+    G = _read_graph(ns)
     handler = {
         "stats": _cmd_stats,
         "triangles": _cmd_triangles,
@@ -322,11 +290,11 @@ def _dispatch(cfg: RunConfig, out) -> int:
         "components": _cmd_components,
         "verify": _cmd_verify,
         "bench": _cmd_bench,
-    }[cfg.command]
-    return handler(cfg, G, out)
+    }[ns.command]
+    return handler(ns, G, out)
 
 
-def run(cfg: RunConfig) -> int:
+def run(ns: argparse.Namespace) -> int:
     """Run one subcommand, writing its result to stdout or ``-o``.
 
     A regular ``-o`` file is only replaced once the subcommand has
@@ -336,18 +304,18 @@ def run(cfg: RunConfig) -> int:
     Targets that cannot be renamed onto (a pipe, a terminal, /dev/null)
     are written in place.
     """
-    path = cfg.output_path
+    path = ns.output
     if not path:
-        return _dispatch(cfg, sys.stdout)
+        return _dispatch(ns, sys.stdout)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w") as out:
-            return _dispatch(cfg, out)
+            return _dispatch(ns, out)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     out = open(tmp, "x")
     try:
         with out:
-            code = _dispatch(cfg, out)
+            code = _dispatch(ns, out)
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
@@ -357,9 +325,8 @@ def run(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
-    cfg = config_from_args(ns)
     try:
-        return run(cfg)
+        return run(ns)
     except ParseError as exc:
         print(f"trusskit: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

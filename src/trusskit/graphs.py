@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 class GraphError(Exception):
@@ -108,21 +108,6 @@ class Graph:
 
 
 # -- construction --------------------------------------------------------
-
-
-def from_pairs(pairs: Iterable[tuple[Hashable, Hashable]]) -> Graph:
-    """Build a graph from labelled edge pairs.
-
-    Labels are mapped to internal ids 1..n in first-appearance order,
-    scanning each pair left to right.
-    """
-    ids: dict[str, int] = {}
-    id_pairs = []
-    for a, b in pairs:
-        ua = ids.setdefault(str(a), len(ids) + 1)
-        ub = ids.setdefault(str(b), len(ids) + 1)
-        id_pairs.append((ua, ub))
-    return Graph(list(ids), id_pairs)
 
 
 def from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import partial
 from math import isqrt
 
 from .graphs import Graph, ValidationError
-from .triangles import TriangleCounts, ordered_endpoints, triangle_counts
+from .triangles import TriangleCounts, triangle_counts
 
 REMOVED = -1
 
@@ -34,18 +33,19 @@ REMOVED = -1
 class TrussLabels:
     """Per-edge trussness.
 
-    ``tau[e]`` is exact where ``exact[e]`` is True; otherwise it records
-    the lower bound ``truncated_at`` ("tau >= truncated_at"). Full
-    decompositions have every flag True and ``truncated_at`` None.
+    ``tau[e]`` is exact below ``truncated_at``; an edge labelled
+    ``truncated_at`` only has the lower bound "tau >= truncated_at". Full
+    decompositions have ``truncated_at`` None, and every label exact.
     """
 
     tau: list[int]
-    exact: list[bool]
     truncated_at: int | None = None
 
     @property
-    def all_exact(self) -> bool:
-        return all(self.exact)
+    def exact(self) -> list[bool]:
+        """Per edge, whether ``tau[e]`` is exact rather than a lower bound."""
+        k = self.truncated_at
+        return [k is None or t < k for t in self.tau]
 
     def histogram(self) -> dict[int, int]:
         """Exact-tau value -> edge count (lower-bound edges keyed by bound)."""
@@ -63,17 +63,12 @@ class PeelStats:
     removal_steps: int = 0
 
 
-def truss_decomposition(
-    G: Graph, *, k_trunc: int | None = None, check_invariants: bool = False
-) -> TrussLabels:
-    labels, _ = instrumented_truss_decomposition(
-        G, k_trunc=k_trunc, check_invariants=check_invariants
-    )
-    return labels
+def truss_decomposition(G: Graph, *, k_trunc: int | None = None) -> TrussLabels:
+    return instrumented_truss_decomposition(G, k_trunc=k_trunc)[0]
 
 
 def instrumented_truss_decomposition(
-    G: Graph, *, k_trunc: int | None = None, check_invariants: bool = False
+    G: Graph, *, k_trunc: int | None = None
 ) -> tuple[TrussLabels, PeelStats]:
     """Compute tau(e) for every edge, exact or truncated at ``k_trunc``,
     with work counters.
@@ -83,26 +78,20 @@ def instrumented_truss_decomposition(
     count plus one. Given ``k_trunc``, the peel stops after round k_trunc,
     as the witness engine's ``run_rounds`` does: the edges it removed get
     their exact tau, below k_trunc, and the rest the lower bound k_trunc.
-    ``check_invariants`` re-derives the residual counts from the adjacency
-    at round boundaries and asserts the stack discipline; intended for
-    tests, quadratic-ish cost.
     """
     m = G.m
     if k_trunc is not None:
         _check_k_trunc(k_trunc, m)
     if m == 0:
-        return TrussLabels([], [], k_trunc), PeelStats()
+        return TrussLabels([], k_trunc), PeelStats()
     counts = triangle_counts(G)
     delta = list(counts.per_edge)
     remove = _triangle_removal(delta, counts)
-    check = partial(_assert_invariants, G, delta) if check_invariants else None
     k_stop = k_trunc or min(isqrt(2 * m), max(delta) + 1)
     tau = [k_stop] * m
-    residual, stats = _peel(delta, k_stop, remove, tau, check)
-    if k_trunc:
-        return TrussLabels(tau, [t < k_trunc for t in tau], k_trunc), stats
-    assert residual == 0, "peeling failed to remove every edge"
-    return TrussLabels(tau, [True] * m, None), stats
+    residual, stats = _peel(delta, k_stop, remove, tau)
+    assert k_trunc or residual == 0, "peeling failed to remove every edge"
+    return TrussLabels(tau, k_trunc), stats
 
 
 def _truncation_cap(m: int) -> int:
@@ -201,37 +190,6 @@ def _triangle_removal(delta: list[int], counts: TriangleCounts):
         return steps
 
     return remove
-
-
-def _residual_counts(G: Graph, delta: list[int]) -> list[int]:
-    """Triangle counts of the residual graph, recomputed from scratch."""
-    out = [REMOVED] * G.m
-    for e, (u, v) in enumerate(G.edges):
-        if delta[e] == REMOVED:
-            continue
-        cnt = 0
-        a, b = ordered_endpoints(G, e)
-        for w in G.adj[a]:
-            f1 = G.edge_id(a, w)
-            f2 = G.edge_id(b, w)
-            if f2 is not None and delta[f1] != REMOVED and delta[f2] != REMOVED:
-                cnt += 1
-        out[e] = cnt
-    return out
-
-
-def _assert_invariants(G, delta, k, stack):
-    """Every residual count is current, and every residual edge below the
-    round threshold is on the stack (which is empty once a round ends)."""
-    fresh = _residual_counts(G, delta)
-    on_stack = set(stack)
-    for e in range(G.m):
-        if delta[e] == REMOVED:
-            continue
-        assert delta[e] == fresh[e], f"stale count on edge {e}"
-        assert delta[e] >= k or e in on_stack, f"edge {e} below round threshold, unstacked"
-    for e in on_stack:
-        assert delta[e] != REMOVED and delta[e] < k, f"stacked edge {e} invalid"
 
 
 def _critical_trials(counts: TriangleCounts, k: int) -> tuple[bool, int]:

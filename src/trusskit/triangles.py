@@ -44,14 +44,13 @@ def mem_cap() -> int:
 class TriangleCounts:
     """Exact triangle counts.
 
-    ``per_edge[e]`` counts triangles through edge e; ``per_vertex`` is
-    1-based (slot 0 unused). Both sum to three times ``total``. From
-    ``triangle_counts``, ``listing[3t:3t + 3]`` holds triangle t's edge ids,
-    if kept, and ``mem_estimate`` bounds the bytes of listing and incidence.
+    ``per_edge[e]`` counts triangles through edge e and sums to three
+    times ``total``. From ``triangle_counts``, ``listing[3t:3t + 3]`` holds
+    triangle t's edge ids, if kept, and ``mem_estimate`` bounds the bytes
+    of listing and incidence.
     """
 
     per_edge: list[int]
-    per_vertex: list[int]
     total: int
     listing: array | None = field(default=None, repr=False, compare=False)
     mem_estimate: int = field(default=0, repr=False, compare=False)
@@ -133,24 +132,22 @@ def triangle_vertices(G: Graph) -> np.ndarray:
 
 
 def triangle_counts(G: Graph, *, keep_listing: bool = True) -> TriangleCounts:
-    """Exact per-edge and per-vertex triangle counts, with the listing the
-    peel needs unless ``keep_listing`` is false. Raises ResourceLimitError
+    """Exact per-edge triangle counts, with the listing the peel needs
+    unless ``keep_listing`` is false. Raises ResourceLimitError
     before keeping a block that takes the estimate, which grows with
     triangles kept, not wedges, over the cap; without the listing only
     the fixed part is reserved."""
     need = _reserve(G, 0)
     per_edge = np.zeros(G.m, dtype=np.int64)
-    per_vertex = np.zeros(G.n + 1, dtype=np.int64)
     listing = array("i") if keep_listing else None
     total = 0
-    for vertices, edges in _blocks(G):
+    for _, edges in _blocks(G):
         total += len(edges)
         if listing is not None:
             need = _reserve(G, total)
             listing.frombytes(edges.astype(np.int32).view(np.uint8))
         per_edge += np.bincount(edges.ravel(), minlength=G.m)
-        per_vertex += np.bincount(vertices.ravel(), minlength=G.n + 1)
-    return TriangleCounts(per_edge.tolist(), per_vertex.tolist(), total, listing, need)
+    return TriangleCounts(per_edge.tolist(), total, listing, need)
 
 
 def ordered_endpoints(G: Graph, e: int) -> tuple[int, int]:

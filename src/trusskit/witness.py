@@ -41,7 +41,7 @@ import numpy as np
 
 from .graphs import Graph, ValidationError
 from .peel import REMOVED, TrussLabels, _check_k_trunc, _peel
-from .triangles import ResourceLimitError, mem_cap, ordered_endpoints
+from .triangles import MEM_CAP_ENV, ResourceLimitError, mem_cap, ordered_endpoints
 from .triangles import _WEDGE_BLOCK, _blocks, _footprint as _listing_footprint
 
 DEFAULT_SEED = 1729
@@ -87,8 +87,6 @@ class EnumerationOutcome:
 
     witnesses: list[int]
     edges: list[tuple[int, int]]
-    used_fallback: bool
-    candidates_tested: int
 
 
 class WitnessState:
@@ -108,9 +106,6 @@ class WitnessState:
         self._tick = 0
         self.enumeration_calls = 0
         self.fallback_calls = 0
-
-    def residual_edges(self) -> list[int]:
-        return [e for e in range(self.G.m) if self.delta[e] != REMOVED]
 
 
 def _resolve(G: Graph, cfg: WitnessConfig) -> tuple[int, float, float]:
@@ -188,14 +183,15 @@ def init_witness(G: Graph, cfg: WitnessConfig, _xmat=None) -> WitnessState:
         if muladds > _MATRIX_MULADDS:
             raise ResourceLimitError(
                 f"matrix init needs ~{muladds} multiply-adds ({h} heavy vertices, {L} sets), "
-                f"over the {_MATRIX_MULADDS} ceiling; lower --b or use --init direct"
+                f"over the {_MATRIX_MULADDS} ceiling; lower WitnessConfig.b "
+                "or use init_mode='direct'"
             )
     needed = _footprint(G, L, heavy)
     if needed > cfg.mem_cap_bytes:
         raise ResourceLimitError(
             f"witness init needs ~{needed} bytes ({m} edges x {L} sets, "
             f"{cfg.init_mode} init), over the {cfg.mem_cap_bytes}-byte cap; "
-            "raise --mem-cap or lower k_trunc / --sets"
+            f"raise WitnessConfig.mem_cap_bytes or {MEM_CAP_ENV}, or lower k_trunc or sets"
         )
     if _xmat is not None:
         xmat = np.asarray(_xmat, dtype=bool)
@@ -295,13 +291,9 @@ def enumerate_residual(state: WitnessState, e: int) -> EnumerationOutcome:
     eid = G.edge_id
     witnesses: list[int] = []
     edges: list[tuple[int, int]] = []
-    tested = 0
     if target > 0:
         for s in state.S[e].tolist():
-            if s < 1 or s > n:
-                continue
-            tested += 1
-            if stamp[s] == tick:
+            if s < 1 or s > n or stamp[s] == tick:
                 continue
             stamp[s] = tick
             if s == u or s == v:
@@ -332,8 +324,7 @@ def enumerate_residual(state: WitnessState, e: int) -> EnumerationOutcome:
                 continue
             witnesses.append(w)
             edges.append((f2, f1) if flip else (f1, f2))
-        return EnumerationOutcome(witnesses, edges, True, tested)
-    return EnumerationOutcome(witnesses, edges, False, tested)
+    return EnumerationOutcome(witnesses, edges)
 
 
 def remove_edge(
@@ -380,7 +371,7 @@ def truncated_decomposition(G: Graph, cfg: WitnessConfig) -> TrussLabels:
     """
     _check_k_trunc(cfg.k_trunc, G.m)
     if G.m == 0:
-        return TrussLabels([], [], cfg.k_trunc)
+        return TrussLabels([], cfg.k_trunc)
     return run_rounds(init_witness(G, cfg))
 
 
@@ -399,4 +390,4 @@ def run_rounds(state: WitnessState) -> TrussLabels:
         return len(affected)
 
     _peel(delta, k_trunc, remove, tau)
-    return TrussLabels(tau, [t < k_trunc for t in tau], k_trunc)
+    return TrussLabels(tau, k_trunc)

@@ -6,17 +6,21 @@ triangles and the per-edge counts, dense adjacency products for the
 decomposition, the truss test and the greedy suspension, every edge
 subset for criticality, neighbour-set recounts for the maximal k-truss
 and the m single-edge peels, plain loops over the residual graph for the
-witness table, and a search per level for the bound report. None of
-them calls the code path it checks. The expensive ones refuse inputs
-past their caps, raising ``CapExceeded`` or failing an assertion, rather
-than hang.
+witness table and the peel's invariant check, and a search per level for
+the bound report. None of them calls the code path it checks. The
+expensive ones refuse inputs past their caps, raising ``CapExceeded`` or
+failing an assertion, rather than hang. ``vertex_counts`` is no
+reference: it reads per-vertex counts off the production listing, as
+the library keeps none.
 """
 
+from collections import namedtuple
 from math import isqrt
 
 import numpy as np
 
-from trusskit import Graph, TriangleCounts, TrussLabels, ValidationError
+from trusskit import Graph, TrussLabels, ValidationError
+from trusskit.triangles import triangle_vertices
 
 DEFAULT_CAP = 200
 
@@ -80,8 +84,12 @@ def triple_scan_triangles(G):
     return out
 
 
+BruteCounts = namedtuple("BruteCounts", "per_edge per_vertex total")
+
+
 def brute_force_triangles(G, cap=DEFAULT_CAP):
-    """Exact counts from the all-triples scan. O(n^3), capped."""
+    """Exact per-edge and per-vertex (1-based, slot 0 unused) counts from
+    the all-triples scan. O(n^3), capped."""
     if G.n > cap:
         raise CapExceeded(f"brute-force triangle scan refused for n={G.n} > cap={cap}")
     per_edge = [0] * G.m
@@ -92,7 +100,46 @@ def brute_force_triangles(G, cap=DEFAULT_CAP):
             per_edge[G.edge_id(x, y)] += 1
         for x in (a, b, c):
             per_vertex[x] += 1
-    return TriangleCounts(per_edge, per_vertex, len(tris))
+    return BruteCounts(per_edge, per_vertex, len(tris))
+
+
+def vertex_counts(G):
+    """Triangles through each vertex, 1-based (slot 0 unused), from the
+    production listing ``triangle_vertices``."""
+    return np.bincount(triangle_vertices(G).ravel(), minlength=G.n + 1).tolist()
+
+
+def residual_counts(G, delta):
+    """Triangle counts of the residual graph, the edges whose ``delta`` is
+    not the removed sentinel -1, recounted from the adjacency; -1 for a
+    removed edge."""
+    out = [-1] * G.m
+    for e, (u, v) in enumerate(G.edges):
+        if delta[e] < 0:
+            continue
+        out[e] = sum(
+            1
+            for w in G.adj[u]
+            if (f := G.edge_id(v, w)) is not None
+            and delta[f] >= 0
+            and delta[G.edge_id(u, w)] >= 0
+        )
+    return out
+
+
+def assert_invariants(G, delta, k, stack):
+    """The peel's state at a round boundary, as ``peel._peel``'s ``check``
+    hook sees it: every residual count is current, and every residual edge
+    below the round threshold is on the stack (empty once a round ends)."""
+    fresh = residual_counts(G, delta)
+    on_stack = set(stack)
+    for e in range(G.m):
+        if delta[e] < 0:
+            continue
+        assert delta[e] == fresh[e], f"stale count on edge {e}"
+        assert delta[e] >= k or e in on_stack, f"edge {e} below round threshold, unstacked"
+    for e in on_stack:
+        assert delta[e] >= 0 and delta[e] < k, f"stacked edge {e} invalid"
 
 
 def is_critical_k_truss_exhaustive(G, k, max_edges=20):
@@ -189,7 +236,7 @@ def oracle_truss_decomposition(G, cap=DEFAULT_CAP):
         raise CapExceeded(f"oracle decomposition refused for n={G.n} > cap={cap}")
     m = G.m
     if m == 0:
-        return TrussLabels([], [], None)
+        return TrussLabels([], None)
     tau = [0] * m
     A = _dense(G, G.n + 1)
     us, vs = np.array(G.edges, dtype=np.int64).T
@@ -207,7 +254,7 @@ def oracle_truss_decomposition(G, cap=DEFAULT_CAP):
                 A[us[e], vs[e]] = A[vs[e], us[e]] = 0.0
             alive &= ~low
         k += 1
-    return TrussLabels(tau, [True] * m, None)
+    return TrussLabels(tau, None)
 
 
 def dense_suspend(G, k, added):

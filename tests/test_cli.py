@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism, pipelines."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from trusskit.cli import (
     EXIT_RESOURCE,
     EXIT_VALIDATION,
     EXIT_VERIFY_FAILED,
+    build_parser,
     main,
 )
 from trusskit.peel import _truncation_cap
@@ -339,11 +341,56 @@ def test_byte_identical_reruns(tmp_path):
     text = clique_chain(2, 3).serialize()
     outs = set()
     for _ in range(2):
-        _, out = run_cli(
-            ["truncated-truss", "--k-trunc", "2", "--seed", "7"], tmp_path, text
-        )
+        _, out = run_cli(["truncated-truss", "--k-trunc", "2"], tmp_path, text)
         outs.add(out)
     assert len(outs) == 1
+
+
+# every subcommand's options, help left out; "" is the top-level parser
+CLI_OPTIONS = {
+    "": ["--input", "--output", "--verbose", "-i", "-o", "-v"],
+    "stats": [],
+    "triangles": ["--counts"],
+    "truss": ["--histogram"],
+    "truncated-truss": ["--k-trunc"],
+    "components": ["--k"],
+    "generate": [],
+    "generate clique-chain": ["--k", "--s"],
+    "generate chain-remainder": ["--k", "--n"],
+    "generate critical-2truss": ["--n"],
+    "generate suspend": ["--added", "--k"],
+    "generate torus-critical": ["--i", "--k", "--t"],
+    "generate critical": ["--k", "--n"],
+    "verify": [],
+    "verify truss": ["--format", "--k"],
+    "verify critical": ["--format", "--k"],
+    "verify bounds": ["--format"],
+    "bench": ["--k-trunc", "--seed"],
+}
+
+
+def option_table(parser, prefix=""):
+    """Subcommand path -> its sorted option strings, help left out."""
+    actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+    table = {prefix: sorted(s for a in actions for s in a.option_strings)}
+    for action in actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                table.update(option_table(sub, f"{prefix} {name}".strip()))
+    return table
+
+
+def test_cli_surface(tmp_path, capsys):
+    assert option_table(build_parser()) == CLI_OPTIONS
+    # truncated-truss runs the stopped peel only: the witness engine's
+    # tuning is a library config, and the seed never changed a byte
+    for flag in (["--seed", "7"], ["--sets", "3"], ["--prob", "0.5"],
+                 ["--init", "matrix"], ["--b", "0.7"], ["--mem-cap", "100"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["truncated-truss", "--k-trunc", "2", *flag], tmp_path, k5_text())
+        assert exc.value.code == 2, flag
+        assert "unrecognized arguments" in capsys.readouterr().err, flag
+        assert sorted(os.listdir(tmp_path)) == ["in.txt"], flag
 
 
 def test_bench_reports_counters(tmp_path):

@@ -24,7 +24,7 @@ from trusskit import (
 )
 from trusskit.generators import FaceEmbedding, has_truss_safe_shape
 
-from .oracles import dense_suspend, induced_by_vertices
+from .oracles import dense_suspend, induced_by_vertices, vertex_counts
 
 
 def complete(n):
@@ -95,9 +95,9 @@ def test_truss_neighborhood_bounds():
     # inside a k-truss every vertex sees >= C(k+1,2) triangles and its
     # closed neighborhood spans >= C(k+2,2) edges
     for k, g in _sample_truss_outputs():
-        tc = triangle_counts(g)
+        per_vertex = vertex_counts(g)
         for v in g.vertices:
-            assert tc.per_vertex[v] >= (k + 1) * k // 2
+            assert per_vertex[v] >= (k + 1) * k // 2
             closed = induced_by_vertices(g, [v, *g.adj[v]])
             assert closed.m >= (k + 2) * (k + 1) // 2
 

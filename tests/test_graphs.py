@@ -12,7 +12,6 @@ from trusskit import (
     ValidationError,
     degeneracy,
     from_edges,
-    from_pairs,
     parse_edge_list,
 )
 
@@ -228,6 +227,17 @@ def test_round_trip_from_generated(G):
     assert (g2.n, g2.m) == (touched, G.m)
 
 
-def test_duplicate_from_pairs_rejected():
-    with pytest.raises(ValidationError):
-        from_pairs([("a", "b"), ("b", "a")])
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([(1, 2), (2, 4)], "vertex id out of range in edge (2, 4)"),
+        ([(1, 2), (0, 3)], "vertex id out of range in edge (0, 3)"),
+        ([(1, 2), (3, 3)], "self-loop on vertex 3"),
+        ([(1, 2), (2, 3), (2, 1)], "duplicate edge (1, 2)"),
+    ],
+    ids=["out-of-range", "zero-id", "self-loop", "duplicate"],
+)
+def test_graph_rejects_bad_pairs(pairs, message):
+    with pytest.raises(ValidationError) as exc:
+        from_edges(3, pairs)
+    assert str(exc.value) == message

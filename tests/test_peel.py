@@ -1,7 +1,9 @@
 """Full truss decomposition against the naive re-scanning oracle."""
 
 import re
+from functools import partial
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,10 +18,16 @@ from trusskit import (
     triangle_counts,
     truss_decomposition,
 )
+from trusskit import peel
 from trusskit.graphs import degeneracy
 from trusskit.peel import _truncation_cap, instrumented_truss_decomposition
 
-from .oracles import induced_by_edges, oracle_truss_decomposition, peel_to_fixed_point
+from .oracles import (
+    assert_invariants,
+    induced_by_edges,
+    oracle_truss_decomposition,
+    peel_to_fixed_point,
+)
 from .strategies import small_graphs
 
 
@@ -47,7 +55,7 @@ def test_bowtie_and_star():
 
 def test_full_labels_are_exact():
     labels = truss_decomposition(complete(4))
-    assert labels.all_exact and labels.truncated_at is None
+    assert all(labels.exact) and labels.truncated_at is None
 
 
 def test_oracle_equivalence_random():
@@ -63,7 +71,17 @@ def test_oracle_equivalence_hypothesis(G):
 
 @given(small_graphs())
 def test_internal_invariants_hold(G):
-    labels = truss_decomposition(G, check_invariants=True)
+    # the production entry point, with the kernel's check hook set to the
+    # reference invariants at every round boundary
+    kernel, runs = peel._peel, []
+
+    def checked(delta, k_stop, remove, tau):
+        runs.append(k_stop)
+        return kernel(delta, k_stop, remove, tau, partial(assert_invariants, G, delta))
+
+    with mock.patch.object(peel, "_peel", checked):
+        labels = truss_decomposition(G)
+    assert len(runs) == (G.m > 0)
     assert labels.tau == oracle_truss_decomposition(G).tau
 
 
@@ -122,7 +140,7 @@ def test_components_above_truncation_rejected():
     from trusskit.peel import TrussLabels
 
     g = complete(4)
-    labels = TrussLabels([2] * 6, [False] * 6, truncated_at=2)
+    labels = TrussLabels([2] * 6, truncated_at=2)
     with pytest.raises(ValidationError):
         k_truss_components(g, 3, labels)
     assert len(k_truss_components(g, 2, labels)) == 1

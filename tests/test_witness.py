@@ -22,7 +22,7 @@ from trusskit import (
 )
 from trusskit import witness
 from trusskit.triangles import triangle_vertices
-from trusskit.peel import _truncation_cap
+from trusskit.peel import REMOVED, _truncation_cap
 from trusskit.witness import _DRAW_BLOCK, run_rounds
 
 from .oracles import residual_common_neighbors, scratch_witness_table
@@ -157,6 +157,23 @@ def test_matrix_init_muladd_ceiling(monkeypatch):
     assert init_witness(g, cfg).L == L
 
 
+def test_init_refusals_name_config_fields(monkeypatch):
+    # the witness engine has no command-line flags, so its refusals name
+    # WitnessConfig fields
+    g = gnp_random(30, 0.4, seed=1)
+    monkeypatch.setattr(witness, "_MATRIX_MULADDS", 0)
+    messages = []
+    for cfg in (
+        WitnessConfig(k_trunc=3, b=0.9, init_mode="matrix"),
+        WitnessConfig(k_trunc=3, mem_cap_bytes=100),
+    ):
+        with pytest.raises(ResourceLimitError) as exc:
+            init_witness(g, cfg)
+        messages.append(str(exc.value))
+    assert "multiply-adds" in messages[0] and "100-byte cap" in messages[1]
+    assert not any("--" in message for message in messages), messages
+
+
 @pytest.mark.parametrize("b", [0.5, 2 / 3, 0.9])
 def test_matrix_init_equals_direct(b):
     # on G(30, 0.4) these b make almost every vertex heavy
@@ -214,7 +231,7 @@ def test_enumerate_zero_delta_no_fallback():
     star = from_edges(4, [(1, 2), (1, 3), (1, 4)])
     state = init_witness(star, WitnessConfig(k_trunc=1, seed=1))
     out = enumerate_residual(state, 0)
-    assert out.witnesses == [] and not out.used_fallback
+    assert out.witnesses == [] and state.fallback_calls == 0
 
 
 def test_enumerate_soundness_random():
@@ -236,8 +253,7 @@ def test_adversarial_sum_rejected_then_fallback():
     e = g.edge_id(4, 5)
     assert state.S[e, 0] == 3
     out = enumerate_residual(state, e)
-    assert out.used_fallback
-    assert out.candidates_tested == 1
+    assert (state.enumeration_calls, state.fallback_calls) == (1, 1)
     assert sorted(out.witnesses) == [1, 2]
     assert 3 not in out.witnesses
 
@@ -311,10 +327,10 @@ def test_incremental_table_matches_scratch():
             remove_edge(state, e, enumerate_residual(state, e))
             if step % 7 == 0:  # prefix checks, amortized
                 ref = scratch_witness_table(state)
-                resid = state.residual_edges()
+                resid = np.flatnonzero(state.delta != REMOVED)
                 assert np.array_equal(state.S[resid], ref[resid])
         ref = scratch_witness_table(state)
-        resid = state.residual_edges()
+        resid = np.flatnonzero(state.delta != REMOVED)
         assert np.array_equal(state.S[resid], ref[resid])
 
 
