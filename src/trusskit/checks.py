@@ -29,7 +29,7 @@ def is_k_truss(G: Graph, k: int) -> bool:
     isolated. The empty graph passes vacuously."""
     if G.n == 0:
         return True
-    if any(G.degree(v) == 0 for v in G.vertices):
+    if not G.degrees[1:].all():
         return False
     return min(triangle_counts(G, keep_listing=False).per_edge) >= k
 
@@ -43,7 +43,7 @@ def is_critical_k_truss(G: Graph, k: int) -> bool:
     G - g, so it stops at the first g whose own peel emptied G. The worst
     case is still m full peels, O(m T) for T triangles.
     """
-    if G.m == 0 or any(G.degree(v) == 0 for v in G.vertices):
+    if G.m == 0 or not G.degrees[1:].all():
         return False
     counts = triangle_counts(G)
     return min(counts.per_edge) >= k and _critical_trials(counts, k)[0]
@@ -78,7 +78,7 @@ class BoundReport:
 
 
 def _edge_name(G: Graph, e: int) -> str:
-    u, v = G.edges[e]
+    u, v = G.ends[e].tolist()
     return f"edge {G.labels[u]}-{G.labels[v]}"
 
 
@@ -152,6 +152,7 @@ def bound_report(G: Graph, labels: TrussLabels) -> BoundReport:
         level = tau_arr[edges].min(axis=1)
         for lv in np.flatnonzero(np.bincount(level)).tolist():
             tris_at[lv].append(vertices[level == lv])
+    ends = G.ends.tolist()
     parent = list(range(G.n + 1))
     deg = [0] * (G.n + 1)
     low = [m] * (G.n + 1)
@@ -159,7 +160,7 @@ def bound_report(G: Graph, labels: TrussLabels) -> BoundReport:
     active: list[int] = []
     for k in range(max_tau, 0, -1):
         for e in edges_at[k]:
-            u, v = G.edges[e]
+            u, v = ends[e]
             for x in (u, v):
                 if not deg[x]:
                     active.append(x)

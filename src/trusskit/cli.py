@@ -33,8 +33,15 @@ EXIT_IO = 7
 _ROWS = 1024  # rows formatted per write
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes no abbreviated option; subparsers are made of the same class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="trusskit",
         description="k-truss decomposition, generators, and verification",
     )
@@ -109,13 +116,14 @@ def _read_graph(ns: argparse.Namespace) -> Graph:
 
 
 def _write_edge_rows(G: Graph, values, out) -> None:
-    """Write a "u v value" TSV row per edge, ordered by endpoint pair,
-    skipping the edges whose value is None."""
-    lab, edges = G.labels, G.edges
-    order = sorted(range(G.m), key=edges.__getitem__)
+    """Write a "u v value" TSV row per edge, in ``G.pair_order``, skipping
+    the edges whose value is None. Rows are formatted from one
+    ``label + "\\t"`` string per vertex, ``_ROWS`` rows per write."""
+    lab = [label + "\t" for label in G.labels]
     for lo in range(0, G.m, _ROWS):
-        rows = ((edges[e], values[e]) for e in order[lo : lo + _ROWS])
-        out.write("".join([f"{lab[u]}\t{lab[v]}\t{x}\n" for (u, v), x in rows if x is not None]))
+        block = G.pair_order[lo : lo + _ROWS]
+        rows = zip(block.tolist(), *G.ends[block].T.tolist())
+        out.write("".join([f"{lab[u]}{lab[v]}{values[e]}\n" for e, u, v in rows if values[e] is not None]))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -249,7 +257,7 @@ def _cmd_bench(ns, G, out):
     t0 = time.perf_counter()
     labels, stats = peel.instrumented_truss_decomposition(G)
     dt = time.perf_counter() - t0
-    m_dbar = sum(min(G.degree(u), G.degree(v)) for u, v in G.edges)
+    m_dbar = int(np.minimum(*G.degrees[G.ends.T]).sum())
     ratio = stats.scan_steps / m_dbar if m_dbar else 0.0
     out.write("metric\tvalue\n")
     out.write(f"n\t{G.n}\n")

@@ -148,7 +148,9 @@ def suspend(G: Graph, k: int, added: int, return_receipt: bool = False):
     n0 = G.n
     target = k + added
     apexes = range(n0 + 1, n0 + added + 1)
-    nbrs = [set(a) for a in G.adj] + [set(G.vertices) for _ in apexes]
+    ptr, nbr = (a.tolist() for a in G.csr[:2])
+    nbrs = [set(nbr[ptr[v] : ptr[v + 1]]) for v in range(n0 + 1)]
+    nbrs += [set(G.vertices) for _ in apexes]
     for v in G.vertices:
         nbrs[v].update(apexes)
     # triangles per edge, keyed (smaller id, larger id); apexes have the

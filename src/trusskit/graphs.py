@@ -1,20 +1,23 @@
-"""Immutable undirected simple graphs with dense edge indexing.
+"""Immutable undirected simple graphs over edge-end arrays.
 
 Vertices carry contiguous 1-based internal ids; id 0 is reserved so that a
 sum of vertex ids is zero only for the empty set (the witness tables rely
 on this). Original input labels are kept alongside the internal ids so
 edge lists round-trip through the serializer.
 
-The edge index is one dict from the id pair (u, v), u < v, to the edge
-id, and ``edges[e]`` is its key. The parser fills it in one pass over the
-lines, next to one label -> id map.
+The parser splits ASCII text with one ``bytes.split()`` and numbers the
+labels through one label map; text it cannot read that way, or rejects,
+goes through the line walk, which names the offending line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class GraphError(Exception):
@@ -38,43 +41,43 @@ class ValidationError(GraphError):
 class Graph:
     """Undirected simple graph, immutable after construction.
 
-    Adjacency lists are sorted ascending and iteration over them is
-    deterministic. ``edges[e]`` gives the endpoint pair ``(u, v)`` with
-    ``u < v`` for the dense edge id ``e`` in ``[0, m)``. A Graph is safe
-    to share read-only across concurrent workers.
+    ``ends[e]`` is the endpoint pair (u, v), u < v, of the dense edge id e
+    in [0, m), in input order, ``degrees[v]`` the degree of v (slot 0
+    unused) and ``pair_order`` the edge ids sorted by endpoint pair, whose
+    keys ``edge_id`` and ``edge_ids`` search. ``csr``, built on first use,
+    is ``(indptr, nbr, slot_edge)``: the neighbours of v, ascending, are
+    ``nbr[indptr[v]:indptr[v + 1]]``, and slot s is edge ``slot_edge[s]``.
+    Every array is read-only, so a Graph is safe to share across
+    concurrent workers.
     """
 
-    __slots__ = ("n", "m", "adj", "edges", "labels", "_edge_ids")
+    __slots__ = ("n", "m", "labels", "ends", "degrees", "pair_order", "_keys", "_csr")
 
-    def __init__(self, labels: Sequence[str], pairs: Sequence[tuple[int, int]]):
+    def __init__(self, labels: Sequence[str], pairs: Iterable[tuple[int, int]] | np.ndarray):
         n = len(labels)
-        edge_ids: dict[tuple[int, int], int] = {}
-        for u, v in pairs:
+        if not isinstance(pairs, np.ndarray):
+            pairs = np.fromiter(chain.from_iterable(pairs), np.int64)
+        raw = pairs.astype(np.int64, copy=False).reshape(-1, 2)
+        lo, hi = raw.min(axis=1), raw.max(axis=1)
+        keys = lo * (n + 1) + hi
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        bad = np.flatnonzero((lo < 1) | (hi > n) | (lo == hi))
+        twins = order[1:][keys[1:] == keys[:-1]]  # later rows of a repeated pair
+        if bad.size or twins.size:
+            u, v = raw[min(bad[:1].tolist() + twins.tolist())].tolist()
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValidationError(f"vertex id out of range in edge ({u}, {v})")
             if u == v:
                 raise ValidationError(f"self-loop on vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in edge_ids:
-                raise ValidationError(f"duplicate edge {key}")
-            edge_ids[key] = len(edge_ids)
-        self._index([str(x) for x in labels], edge_ids)
-
-    def _index(self, labels: list[str], edge_ids: dict[tuple[int, int], int]) -> None:
-        """Fill the graph from its labels and the edge dict it keeps, which
-        maps each pair (u, v), u < v, to its edge id in insertion order."""
-        adj: list[list[int]] = [[] for _ in range(len(labels) + 1)]
-        for u, v in edge_ids:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        self.n = len(labels)
-        self.m = len(edge_ids)
-        self.adj = tuple(tuple(lst) for lst in adj)
-        self.edges = tuple(edge_ids)
-        self.labels = ("", *labels)
-        self._edge_ids = edge_ids
+            raise ValidationError(f"duplicate edge {(min(u, v), max(u, v))}")
+        self.n, self.m = n, len(raw)
+        self.labels = ("", *map(str, labels))
+        self.ends = np.stack([lo, hi], axis=1)
+        self.degrees = np.bincount(self.ends.ravel(), minlength=n + 1)
+        self.pair_order, self._keys, self._csr = order, keys, None
+        for a in (self.ends, self.degrees, order, keys):
+            a.setflags(write=False)
 
     # -- basic accessors ------------------------------------------------
 
@@ -82,26 +85,41 @@ class Graph:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._csr is None:
+            dst = self.ends[:, ::-1].ravel()
+            slots = np.lexsort((dst, self.ends.ravel()))  # 2e and 2e + 1 are edge e
+            indptr = np.zeros(self.n + 2, np.int64)
+            np.cumsum(self.degrees, out=indptr[1:])
+            self._csr = (indptr, dst[slots], slots // 2)
+            for a in self._csr:
+                a.setflags(write=False)
+        return self._csr
+
+    def edge_ids(self, u, v) -> np.ndarray:
+        """Edge ids of the pairs (u, v), -1 where absent: u and v are vertex
+        ids in 1..n, or int arrays of them, broadcast together."""
+        keys = np.minimum(u, v) * (self.n + 1) + np.maximum(u, v)
+        if not self.m:
+            return np.full(np.shape(keys), -1)
+        at = np.minimum(np.searchsorted(self._keys, keys), self.m - 1)
+        return np.where(self._keys[at] == keys, self.pair_order[at], -1)
 
     def edge_id(self, u: int, v: int) -> int | None:
         """Dense edge id for the unordered pair, or None if absent."""
-        return self._edge_ids.get((u, v) if u < v else (v, u))
+        e = int(self.edge_ids(u, v)) if 1 <= u <= self.n and 1 <= v <= self.n else -1
+        return None if e < 0 else e
 
     def serialize(self) -> str:
         """Edge-list text, one "u v" line per edge sorted by (min, max) id."""
         lab = self.labels
-        return "".join([f"{lab[u]} {lab[v]}\n" for u, v in sorted(self.edges)])
+        return "".join([f"{lab[u]} {lab[v]}\n" for u, v in self.ends[self.pair_order].tolist()])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.labels == other.labels
-            and sorted(self.edges) == sorted(other.edges)
-        )
+        return self.labels == other.labels and np.array_equal(self._keys, other._keys)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -110,13 +128,21 @@ class Graph:
 # -- construction --------------------------------------------------------
 
 
-def from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
+def from_edges(n: int, pairs: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
     """Build a graph on vertices 1..n from internal-id edge pairs.
 
     Labels are the decimal ids. Vertices not touched by any edge are kept
     (possibly isolated); generators avoid emitting such vertices.
     """
-    return Graph([str(i) for i in range(1, n + 1)], list(pairs))
+    return Graph([str(i) for i in range(1, n + 1)], pairs)
+
+
+# byte classes of the split parse: 0 label, 1 blank, 2 line break, and 3 for
+# '#' and the bytes that str.split/splitlines and bytes.split disagree on
+_BYTE_CLASS = np.zeros(256, np.uint8)
+_BYTE_CLASS[[9, 32]] = 1
+_BYTE_CLASS[[10, 13]] = 2
+_BYTE_CLASS[[11, 12, 28, 29, 30, 31, 35, *range(128, 256)]] = 3
 
 
 def parse_edge_list(text: str | bytes) -> Graph:
@@ -124,11 +150,45 @@ def parse_edge_list(text: str | bytes) -> Graph:
 
     Lines starting with '#' and blank lines are skipped. Vertex labels are
     arbitrary tokens, mapped to ids 1..n in first-appearance order.
-    Self-loops and duplicate edges are rejected. One pass over the lines
-    fills the label map and the edge dict the Graph keeps.
+    Self-loops and duplicate edges are rejected, and so is text that is not
+    UTF-8, each with its line number. ASCII text without '#' is split in
+    one pass; the line walk reads the rest and names the line of any error.
     """
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else bytes(text)
+    return _split_parse(data) or _walk_lines(text)
+
+
+def _split_parse(data: bytes) -> Graph | None:
+    """The Graph of ``data`` read in one split, or None if it holds a byte
+    of class 3, a non-blank line without exactly two labels, a self-loop or
+    a duplicate edge."""
+    cls = _BYTE_CLASS[np.frombuffer(data, np.uint8)]
+    starts = np.flatnonzero(np.diff((cls == 0).view(np.int8), prepend=0) == 1)
+    line = np.searchsorted(np.flatnonzero(cls == 2), starts)  # of each label
+    if cls.max(initial=0) == 3 or not np.isin(np.bincount(line), (0, 2)).all():
+        return None
+    del cls, starts, line
+    tokens = data.split()
+    ids = {label: i for i, label in enumerate(dict.fromkeys(tokens), start=1)}
+    flat = np.fromiter(map(ids.__getitem__, tokens), np.int64, len(tokens))
+    labels = [label.decode() for label in ids]
+    del tokens, ids
+    try:
+        return Graph(labels, flat.reshape(-1, 2))
+    except ValidationError:
+        return None
+
+
+def _walk_lines(text: str | bytes) -> Graph:
+    """Parse line by line through one label map and one edge dict, raising
+    at the first bad line with its number."""
+    if not isinstance(text, str):
+        try:
+            text = bytes(text).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            data, at = exc.object, exc.start
+            raise ParseError(f"byte 0x{data[at]:02x} is not UTF-8",
+                             len((data[:at].decode() + "x").splitlines())) from None
     ids: dict[str, int] = {}
     edge_ids: dict[tuple[int, int], int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -146,9 +206,7 @@ def parse_edge_list(text: str | bytes) -> Graph:
         if key in edge_ids:
             raise ValidationError(f"line {line_no}: duplicate edge {a!r} {b!r}")
         edge_ids[key] = len(edge_ids)
-    G = object.__new__(Graph)
-    G._index(list(ids), edge_ids)
-    return G
+    return Graph(list(ids), edge_ids)
 
 
 # -- degeneracy ------------------------------------------------------------
@@ -174,7 +232,8 @@ def degeneracy(G: Graph) -> DegeneracyReport:
     n = G.n
     if n == 0:
         return DegeneracyReport(0, [], Fraction(0))
-    cur = [0] + [G.degree(v) for v in G.vertices]
+    ptr, nbr = (a.tolist() for a in G.csr[:2])
+    cur = G.degrees.tolist()
     max_deg = max(cur)
     buckets: list[list[int]] = [[] for _ in range(max_deg + 1)]
     for v in G.vertices:
@@ -192,15 +251,10 @@ def degeneracy(G: Graph) -> DegeneracyReport:
         removed[v] = True
         order.append(v)
         delta = max(delta, d)
-        for w in G.adj[v]:
+        for w in nbr[ptr[v] : ptr[v + 1]]:
             if not removed[w]:
                 cur[w] -= 1
                 buckets[cur[w]].append(w)
         d = max(d - 1, 0)
-    if G.m:
-        avg = Fraction(
-            sum(min(G.degree(u), G.degree(v)) for u, v in G.edges), G.m
-        )
-    else:
-        avg = Fraction(0)
+    avg = Fraction(int(np.minimum(*G.degrees[G.ends.T]).sum()), G.m or 1)
     return DegeneracyReport(delta, order, avg)

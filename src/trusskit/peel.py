@@ -256,13 +256,14 @@ def k_truss_components(
             "exact memberships unknown above it"
         )
     keep = [e for e in range(G.m) if labels.tau[e] >= k]
+    ends = G.ends.tolist()
     parent = list(range(G.n + 1))
     for e in keep:
-        u, v = G.edges[e]
+        u, v = ends[e]
         parent[_find(parent, u)] = _find(parent, v)
     groups: dict[int, list[int]] = {}
     for e in keep:  # first seen first, so ordered by smallest edge id
-        groups.setdefault(_find(parent, G.edges[e][0]), []).append(e)
+        groups.setdefault(_find(parent, ends[e][0]), []).append(e)
     return [tuple(g) for g in groups.values()]
 
 

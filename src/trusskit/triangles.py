@@ -18,7 +18,7 @@ import os
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -92,10 +92,9 @@ def _blocks(G: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     n1, m = G.n + 1, G.m
     if m == 0:
         return
-    by_rank = np.argsort(np.fromiter(map(len, G.adj), np.int64, n1), kind="stable")
+    by_rank = np.argsort(G.degrees, kind="stable")
     rank = np.argsort(by_rank, kind="stable")  # position in (degree, id) order
-    ends = rank[np.fromiter(chain.from_iterable(G.edges), np.int64, 2 * m)]
-    ends = ends.reshape(m, 2)
+    ends = rank[G.ends]
     keys = ends.min(axis=1) * n1 + ends.max(axis=1)  # edge (lo, hi) in rank order
     del ends
     eid = np.argsort(keys, kind="stable")  # edge ids in (src, dst) order: the out-CSR
@@ -153,8 +152,5 @@ def triangle_counts(G: Graph, *, keep_listing: bool = True) -> TriangleCounts:
 def ordered_endpoints(G: Graph, e: int) -> tuple[int, int]:
     """Edge endpoints with the scan side first: the smaller-degree
     endpoint, ties broken toward the smaller id."""
-    u, v = G.edges[e]
-    du, dv = G.degree(u), G.degree(v)
-    if du < dv or (du == dv and u < v):
-        return u, v
-    return v, u
+    u, v = G.ends[e].tolist()  # u < v, so ties keep u first
+    return (u, v) if G.degrees[u] <= G.degrees[v] else (v, u)

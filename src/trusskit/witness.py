@@ -34,8 +34,8 @@ read-only.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -82,7 +82,7 @@ class EnumerationOutcome:
     residual common neighbor, and without fallback their number equals
     the edge's residual count. ``edges[i]`` holds the ids of the residual
     edges (u, w) and (v, w) for w = ``witnesses[i]``, (u, v) the edge's
-    endpoints in ``G.edges`` order.
+    endpoints in ``G.ends`` order.
     """
 
     witnesses: list[int]
@@ -102,8 +102,7 @@ class WitnessState:
         self.S = S  # (m, L) int64
         self.delta = delta  # (m,) int64, REMOVED sentinel
         self.mem_estimate = mem_estimate  # bytes; upper bound on init's peak
-        self._stamp = np.zeros(G.n + 1, dtype=np.int64)
-        self._tick = 0
+        self.adj = tuple(a.tolist() for a in G.csr)  # G's CSR as lists
         self.enumeration_calls = 0
         self.fallback_calls = 0
 
@@ -139,7 +138,8 @@ def _footprint(G: Graph, L: int, heavy: np.ndarray | None) -> int:
     Per vertex the bool membership and the membership lists (9L at q = 1;
     the float64 draw, taken in row blocks of about _DRAW_BLOCK values and
     so never over 8L per vertex, is freed before the lists exist) and
-    small arrays; per edge the table row and count; the triangle listing,
+    small arrays; per edge the table row and count, and G's CSR with the
+    lists of it that enumeration searches; the triangle listing,
     keeping no triangles, and a chunk of _INIT_CHUNK pairs, each with
     index bookkeeping and, per set holding its witness, six int64
     temporaries. Matrix mode (``heavy`` given) adds one block's copy
@@ -148,7 +148,7 @@ def _footprint(G: Graph, L: int, heavy: np.ndarray | None) -> int:
     per-vertex arrays fit in the listing's share, freed before the products.
     """
     n1, m = G.n + 1, G.m
-    total = 9 * n1 * L + 160 * n1 + 8 * m * L + 8 * m + 65536
+    total = 9 * n1 * L + 208 * n1 + 8 * m * L + 200 * m + 65536
     total += _listing_footprint(G, 0) + _INIT_CHUNK * (48 * L + 160)
     if heavy is not None:
         h = int(np.count_nonzero(heavy))
@@ -176,8 +176,7 @@ def init_witness(G: Graph, cfg: WitnessConfig, _xmat=None) -> WitnessState:
     n, m = G.n, G.m
     heavy = None
     if cfg.init_mode == "matrix":
-        degrees = np.fromiter(map(len, G.adj), dtype=np.int64, count=n + 1)
-        heavy = degrees > m ** (1.0 - b)
+        heavy = G.degrees > m ** (1.0 - b)
         h = int(np.count_nonzero(heavy))
         muladds = h**3 * (L + 1)  # L + 1 h x h products, at most, for h heavy vertices
         if muladds > _MATRIX_MULADDS:
@@ -248,14 +247,12 @@ def _add_heavy_triangles(G, xmat, heavy, S, delta) -> None:
     heavy adjacency, (A A)[u, v] counts them through edge (u, v), and
     (A_l (w * A_l)^T)[u, v], A_l keeping the columns of heavy w in X_l,
     sums their witness ids for set l."""
-    ends = np.fromiter(chain.from_iterable(G.edges), np.int64, 2 * G.m)
-    ends = ends.reshape(G.m, 2)
+    ends = G.ends
     hh = np.flatnonzero(heavy[ends].all(axis=1))
     if hh.size == 0:
         return
     hv = np.flatnonzero(heavy)
     iu, iv = (np.cumsum(heavy) - 1)[ends[hh]].T  # positions among heavy vertices
-    del ends
     A = np.zeros((hv.size, hv.size))
     A[iu, iv] = A[iv, iu] = 1.0
     delta[hh] += np.rint((A @ A)[iu, iv]).astype(np.int64)
@@ -274,35 +271,29 @@ def enumerate_residual(state: WitnessState, e: int) -> EnumerationOutcome:
     The primary pass scans the witness row: any entry that is a valid
     vertex id and passes the residual-edge test for both endpoints is a
     confirmed witness. If the row does not account for every residual
-    triangle, a scan of the smaller-degree endpoint's adjacency recovers
-    the exact set.
+    triangle, a scan of the smaller-degree endpoint's CSR row recovers the
+    exact set. Edges are found by binary search in the CSR rows.
     """
     delta = state.delta
     if delta[e] == REMOVED:
         raise ValidationError(f"edge {e} already removed")
-    G = state.G
-    n = G.n
-    u, v = G.edges[e]
+    G, adj = state.G, state.adj
+    u, v = G.ends[e].tolist()
     target = int(delta[e])
     state.enumeration_calls += 1
-    state._tick += 1
-    tick = state._tick
-    stamp = state._stamp
-    eid = G.edge_id
     witnesses: list[int] = []
     edges: list[tuple[int, int]] = []
     if target > 0:
+        seen = {u, v}
         for s in state.S[e].tolist():
-            if s < 1 or s > n or stamp[s] == tick:
+            if s < 1 or s > G.n or s in seen:
                 continue
-            stamp[s] = tick
-            if s == u or s == v:
+            seen.add(s)
+            f1 = _edge(adj, u, s)
+            if f1 < 0 or delta[f1] == REMOVED:
                 continue
-            f1 = eid(u, s)
-            if f1 is None or delta[f1] == REMOVED:
-                continue
-            f2 = eid(v, s)
-            if f2 is None or delta[f2] == REMOVED:
+            f2 = _edge(adj, v, s)
+            if f2 < 0 or delta[f2] == REMOVED:
                 continue
             witnesses.append(s)
             edges.append((f1, f2))
@@ -313,18 +304,24 @@ def enumerate_residual(state: WitnessState, e: int) -> EnumerationOutcome:
         a, b = ordered_endpoints(G, e)
         flip = a != u
         witnesses, edges = [], []
-        for w in G.adj[a]:
-            if w == b:
+        ptr, nbr, slot = adj
+        for w, f1 in zip(nbr[ptr[a] : ptr[a + 1]], slot[ptr[a] : ptr[a + 1]]):
+            if w == b or delta[f1] == REMOVED:
                 continue
-            f1 = eid(a, w)
-            if delta[f1] == REMOVED:
-                continue
-            f2 = eid(b, w)
-            if f2 is None or delta[f2] == REMOVED:
+            f2 = _edge(adj, b, w)
+            if f2 < 0 or delta[f2] == REMOVED:
                 continue
             witnesses.append(w)
             edges.append((f2, f1) if flip else (f1, f2))
     return EnumerationOutcome(witnesses, edges)
+
+
+def _edge(adj, x: int, w: int) -> int:
+    """Id of the edge (x, w), or -1: a binary search of x's CSR row."""
+    ptr, nbr, slot = adj
+    hi = ptr[x + 1]
+    i = bisect_left(nbr, w, ptr[x], hi)
+    return slot[i] if i < hi and nbr[i] == w else -1
 
 
 def remove_edge(
@@ -341,7 +338,7 @@ def remove_edge(
     delta = state.delta
     if delta[e] == REMOVED:
         raise ValidationError(f"edge {e} removed twice")
-    u, v = state.G.edges[e]
+    u, v = state.G.ends[e].tolist()
     S = state.S
     sets = state.sets
     delta[e] = REMOVED

@@ -29,19 +29,48 @@ class CapExceeded(Exception):
     """Input too large for a brute-force oracle."""
 
 
+def edge_pairs(G):
+    """G's edges as (u, v) tuples, u < v, in edge-id order."""
+    return [tuple(p) for p in G.ends.tolist()]
+
+
+def adjacency(G):
+    """Each vertex's neighbour set (slot 0 empty), from the edge list."""
+    nbrs = [set() for _ in range(G.n + 1)]
+    for u, v in G.ends.tolist():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
+def min_degree_sum(G):
+    """The smaller endpoint degree summed over G's edges: m times the
+    average degeneracy."""
+    deg = G.degrees.tolist()
+    return sum(min(deg[u], deg[v]) for u, v in edge_pairs(G))
+
+
+def edge_index(G):
+    """Edge id of each adjacent pair, in both orders, from the edge list."""
+    ids = {}
+    for e, (u, v) in enumerate(G.ends.tolist()):
+        ids[u, v] = ids[v, u] = e
+    return ids
+
+
 def scratch_witness_table(state):
     """Witness table rebuilt from its definition over the residual graph."""
     G = state.G
+    eid = edge_index(G)
     S = np.zeros_like(state.S)
-    for e in range(G.m):
+    for e, (u, v) in enumerate(edge_pairs(G)):
         if state.delta[e] < 0:
             continue
-        u, v = G.edges[e]
         for w in G.vertices:
             if w == u or w == v:
                 continue
-            f1 = G.edge_id(u, w)
-            f2 = G.edge_id(v, w)
+            f1 = eid.get((u, w))
+            f2 = eid.get((v, w))
             if (
                 f1 is not None
                 and f2 is not None
@@ -54,13 +83,14 @@ def scratch_witness_table(state):
 
 def residual_common_neighbors(state, e):
     G = state.G
-    u, v = G.edges[e]
+    eid = edge_index(G)
+    u, v = edge_pairs(G)[e]
     out = []
     for w in G.vertices:
         if w == u or w == v:
             continue
-        f1 = G.edge_id(u, w)
-        f2 = G.edge_id(v, w)
+        f1 = eid.get((u, w))
+        f2 = eid.get((v, w))
         if (
             f1 is not None
             and f2 is not None
@@ -73,13 +103,14 @@ def residual_common_neighbors(state, e):
 
 def triple_scan_triangles(G):
     """All triangles as sorted vertex triples, by scanning all triples."""
+    eid = edge_index(G)
     out = []
     for a in G.vertices:
         for b in range(a + 1, G.n + 1):
-            if G.edge_id(a, b) is None:
+            if (a, b) not in eid:
                 continue
             for c in range(b + 1, G.n + 1):
-                if G.edge_id(a, c) is not None and G.edge_id(b, c) is not None:
+                if (a, c) in eid and (b, c) in eid:
                     out.append((a, b, c))
     return out
 
@@ -95,9 +126,10 @@ def brute_force_triangles(G, cap=DEFAULT_CAP):
     per_edge = [0] * G.m
     per_vertex = [0] * (G.n + 1)
     tris = triple_scan_triangles(G)
+    eid = edge_index(G)
     for a, b, c in tris:
         for x, y in ((a, b), (b, c), (a, c)):
-            per_edge[G.edge_id(x, y)] += 1
+            per_edge[eid[x, y]] += 1
         for x in (a, b, c):
             per_vertex[x] += 1
     return BruteCounts(per_edge, per_vertex, len(tris))
@@ -113,16 +145,17 @@ def residual_counts(G, delta):
     """Triangle counts of the residual graph, the edges whose ``delta`` is
     not the removed sentinel -1, recounted from the adjacency; -1 for a
     removed edge."""
+    nbrs, eid = adjacency(G), edge_index(G)
     out = [-1] * G.m
-    for e, (u, v) in enumerate(G.edges):
+    for e, (u, v) in enumerate(edge_pairs(G)):
         if delta[e] < 0:
             continue
         out[e] = sum(
             1
-            for w in G.adj[u]
-            if (f := G.edge_id(v, w)) is not None
+            for w in nbrs[u]
+            if (f := eid.get((v, w))) is not None
             and delta[f] >= 0
-            and delta[G.edge_id(u, w)] >= 0
+            and delta[eid[u, w]] >= 0
         )
     return out
 
@@ -150,11 +183,12 @@ def is_critical_k_truss_exhaustive(G, k, max_edges=20):
     m = G.m
     if m > max_edges:
         raise CapExceeded(f"subset enumeration refused for m={m} > {max_edges}")
-    if m == 0 or any(G.degree(v) == 0 for v in G.vertices):
+    if m == 0 or any(G.degrees[v] == 0 for v in G.vertices):
         return False
+    eid = edge_index(G)
     tris = []
     for a, b, c in triple_scan_triangles(G):
-        es = (G.edge_id(a, b), G.edge_id(b, c), G.edge_id(a, c))
+        es = (eid[a, b], eid[b, c], eid[a, c])
         tris.append(((1 << es[0]) | (1 << es[1]) | (1 << es[2]), es))
 
     def is_truss(subset):
@@ -173,14 +207,14 @@ def peel_to_fixed_point(G, k):
     """The maximal k-truss as its edge ids, ascending: recount every
     residual edge's triangles from neighbour sets and delete all edges on
     fewer than k, until none is left to delete."""
-    nbrs = [set(a) for a in G.adj]
+    nbrs, pairs = adjacency(G), edge_pairs(G)
     alive = set(range(G.m))
     while True:
-        low = [e for e in alive if len(nbrs[G.edges[e][0]] & nbrs[G.edges[e][1]]) < k]
+        low = [e for e in alive if len(nbrs[pairs[e][0]] & nbrs[pairs[e][1]]) < k]
         if not low:
             return sorted(alive)
         for e in low:
-            u, v = G.edges[e]
+            u, v = pairs[e]
             nbrs[u].discard(v)
             nbrs[v].discard(u)
             alive.discard(e)
@@ -190,13 +224,13 @@ def single_edge_peels_critical(G, k):
     """Criticality by m independent reference peels: G has an edge and no
     isolated vertex, the peel of G keeps every edge, and the peel of each
     G - e, built afresh, keeps none."""
-    if G.m == 0 or any(G.degree(v) == 0 for v in G.vertices):
+    if G.m == 0 or any(G.degrees[v] == 0 for v in G.vertices):
         return False
     if len(peel_to_fixed_point(G, k)) < G.m:
         return False
-    labels = G.labels[1:]
+    labels, pairs = G.labels[1:], edge_pairs(G)
     return not any(
-        peel_to_fixed_point(Graph(labels, G.edges[:e] + G.edges[e + 1 :]), k)
+        peel_to_fixed_point(Graph(labels, pairs[:e] + pairs[e + 1 :]), k)
         for e in range(G.m)
     )
 
@@ -207,7 +241,7 @@ DENSE_CAP = 400
 def _dense(G, size):
     assert size <= DENSE_CAP + 1, f"dense oracle refused for {size} rows"
     A = np.zeros((size, size), dtype=np.float64)
-    for u, v in G.edges:
+    for u, v in edge_pairs(G):
         A[u, v] = A[v, u] = 1.0
     return A
 
@@ -239,7 +273,7 @@ def oracle_truss_decomposition(G, cap=DEFAULT_CAP):
         return TrussLabels([], None)
     tau = [0] * m
     A = _dense(G, G.n + 1)
-    us, vs = np.array(G.edges, dtype=np.int64).T
+    us, vs = np.array(edge_pairs(G), dtype=np.int64).reshape(-1, 2).T
     alive = np.ones(m, dtype=bool)
     k = 1
     guard = isqrt(2 * m) + 2
@@ -307,7 +341,7 @@ def induced_by_vertices(G, vertex_set):
         if not (1 <= v <= G.n):
             raise ValidationError(f"unknown vertex id {v}")
     remap = {old: new for new, old in enumerate(keep, start=1)}
-    pairs = [(remap[u], remap[v]) for u, v in G.edges if u in remap and v in remap]
+    pairs = [(remap[u], remap[v]) for u, v in edge_pairs(G) if u in remap and v in remap]
     return Graph([G.labels[v] for v in keep], pairs)
 
 
@@ -318,9 +352,10 @@ def induced_by_edges(G, edge_set):
     for e in kept:
         if not (0 <= e < G.m):
             raise ValidationError(f"edge id {e} out of range [0, {G.m})")
-    touched = sorted({v for e in kept for v in G.edges[e]})
+    edges = edge_pairs(G)
+    touched = sorted({v for e in kept for v in edges[e]})
     remap = {old: new for new, old in enumerate(touched, start=1)}
-    pairs = [(remap[G.edges[e][0]], remap[G.edges[e][1]]) for e in kept]
+    pairs = [(remap[edges[e][0]], remap[edges[e][1]]) for e in kept]
     return Graph([G.labels[v] for v in touched], pairs)
 
 
@@ -339,15 +374,17 @@ def level_bound_checks(G, tau):
         if name not in worst or margin < worst[name].margin:
             worst[name] = BoundCheck(name, margin >= 0, margin, detail, witness)
 
+    edges = edge_pairs(G)
+
     def edge_name(e):
-        u, v = G.edges[e]
+        u, v = edges[e]
         return f"edge {G.labels[u]}-{G.labels[v]}"
 
     for k in range(1, max(tau, default=0) + 1):
         level = {e for e in range(G.m) if tau[e] >= k}
         nbrs = {}
         for e in sorted(level):
-            u, v = G.edges[e]
+            u, v = edges[e]
             nbrs.setdefault(u, set()).add(v)
             nbrs.setdefault(v, set()).add(u)
         seen = set()
@@ -361,7 +398,7 @@ def level_bound_checks(G, tau):
                     frontier.append(w)
             seen |= comp
             vs_c = sorted(comp)
-            edges_c = sorted(e for e in level if G.edges[e][0] in comp)
+            edges_c = sorted(e for e in level if edges[e][0] in comp)
             tri = {
                 v: sum(1 for a in nbrs[v] for b in nbrs[v] if a < b and b in nbrs[a])
                 for v in vs_c

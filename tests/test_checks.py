@@ -25,6 +25,8 @@ from trusskit.graphs import ValidationError
 from trusskit.peel import TrussLabels, _critical_trials
 
 from .oracles import (
+    adjacency,
+    edge_pairs,
     CapExceeded,
     brute_force_triangles,
     dense_is_k_truss,
@@ -79,7 +81,7 @@ def test_is_k_truss_cliques():
         assert is_k_truss(complete(k + 2), k)
         # dropping any edge loses the property
         g = complete(k + 2)
-        smaller = from_edges(k + 2, list(g.edges)[1:])
+        smaller = from_edges(k + 2, edge_pairs(g)[1:])
         assert not is_k_truss(smaller, k)
 
 
@@ -144,17 +146,18 @@ def cycle_join(c, k, seed):
 
 def with_chord(g):
     """g plus the missing edge with the most common neighbours."""
-    nbrs = [set(a) for a in g.adj]
+    nbrs = adjacency(g)
     _, u, v = max(
         (len(nbrs[u] & nbrs[v]), u, v)
         for u, v in combinations(g.vertices, 2)
-        if g.edge_id(u, v) is None
+        if v not in nbrs[u]
     )
-    return from_edges(g.n, [*g.edges, (u, v)])
+    return from_edges(g.n, [*edge_pairs(g), (u, v)])
 
 
 def two_copies(g):
-    return from_edges(2 * g.n, [*g.edges, *((u + g.n, v + g.n) for u, v in g.edges)])
+    pairs = edge_pairs(g)
+    return from_edges(2 * g.n, [*pairs, *((u + g.n, v + g.n) for u, v in pairs)])
 
 
 def diamond():
@@ -187,8 +190,9 @@ def test_critical_diamond_first_trial_empties_a_later_one_does_not():
     # deleting b-c (edge 0) empties the 1-truss, deleting any other edge
     # leaves one of its two triangles
     g = diamond()
+    pairs = edge_pairs(g)
     for e in range(g.m):
-        kept = peel_to_fixed_point(from_edges(4, g.edges[:e] + g.edges[e + 1 :]), 1)
+        kept = peel_to_fixed_point(from_edges(4, pairs[:e] + pairs[e + 1 :]), 1)
         assert len(kept) == (0 if e == 0 else 3)
     assert not is_critical_k_truss(g, 1)
 

@@ -36,7 +36,7 @@ from trusskit.cli import (
 from trusskit.peel import _truncation_cap
 from trusskit.witness import DEFAULT_SEED
 
-from .oracles import triple_scan_triangles
+from .oracles import adjacency, edge_pairs, triple_scan_triangles
 from .test_graphs import PARSE_ERRORS
 from .test_witness import skewed
 
@@ -134,7 +134,7 @@ TRUNC_GRAPHS = {
 def truncated_rows(g, labels):
     """The rows ``truncated-truss`` writes for ``labels``."""
     mark = ("lower_bound", "exact")
-    lab, edges = g.labels, g.edges
+    lab, edges = g.labels, edge_pairs(g)
     order = sorted(range(g.m), key=edges.__getitem__)
     return "".join(
         f"{lab[edges[e][0]]}\t{lab[edges[e][1]]}\t{labels.tau[e]}\t{mark[labels.exact[e]]}\n"
@@ -237,10 +237,10 @@ def test_verify_critical_generated_truss_and_with_chord(tmp_path, fmt):
     assert code == EXIT_OK and "PASS" in report and "FAIL" not in report
     # a chord on enough triangles keeps a 4-truss that is no longer critical
     g = parse_edge_list(text)
-    nbrs = [set(a) for a in g.adj]
+    nbrs = adjacency(g)
     u, v = next(
         (u, v) for u, v in combinations(g.vertices, 2)
-        if g.edge_id(u, v) is None and len(nbrs[u] & nbrs[v]) >= 4
+        if v not in nbrs[u] and len(nbrs[u] & nbrs[v]) >= 4
     )
     code, report = run_cli(args, tmp_path, text + f"{g.labels[u]} {g.labels[v]}\n")
     assert code == EXIT_VERIFY_FAILED and "FAIL" in report and "PASS" not in report
@@ -325,6 +325,21 @@ def test_parse_error_stderr_and_exit_code(tmp_path, capsysbinary, case):
     assert out == "" and sorted(os.listdir(tmp_path)) == ["in.txt"]
 
 
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsysbinary):
+    # exit 3 with the line of the bad byte, not a traceback with exit 1;
+    # the failed -o run leaves no file behind, temporary or not
+    (tmp_path / "in.txt").write_bytes(b"a b\nb \xff\n")
+    code = main(["-o", str(tmp_path / "out.txt"), "-i", str(tmp_path / "in.txt"), "stats"])
+    assert code == EXIT_PARSE == 3
+    err = b"trusskit: parse error: line 2: byte 0xff is not UTF-8\n"
+    assert capsysbinary.readouterr().err == err
+    assert sorted(os.listdir(tmp_path)) == ["in.txt"]
+    proc = subprocess.run([sys.executable, "-m", "trusskit", "stats"], input=b"\xff a\n",
+                          capture_output=True)
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr == b"trusskit: parse error: line 1: byte 0xff is not UTF-8\n"
+
+
 def test_self_loop_exit_code(tmp_path):
     code, _ = run_cli(["truss"], tmp_path, "1 1\n")
     assert code == EXIT_VALIDATION
@@ -391,6 +406,13 @@ def test_cli_surface(tmp_path, capsys):
         assert exc.value.code == 2, flag
         assert "unrecognized arguments" in capsys.readouterr().err, flag
         assert sorted(os.listdir(tmp_path)) == ["in.txt"], flag
+    # no parser takes an abbreviation: of another subcommand's option, or
+    # of its own
+    for args in (["truncated-truss", "--k", "4"], ["bench", "--k", "2"], ["truss", "--hist"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args, tmp_path, k5_text())
+        assert exc.value.code == 2, args
+        assert sorted(os.listdir(tmp_path)) == ["in.txt"], args
 
 
 def test_bench_reports_counters(tmp_path):

@@ -5,7 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from trusskit import (
     ParseError,
@@ -14,8 +15,9 @@ from trusskit import (
     from_edges,
     parse_edge_list,
 )
+from trusskit.graphs import _split_parse, _walk_lines
 
-from .oracles import induced_by_edges, induced_by_vertices
+from .oracles import adjacency, edge_pairs, induced_by_edges, induced_by_vertices
 from .strategies import edge_texts, small_graphs
 
 
@@ -34,7 +36,7 @@ def bowtie():
 def test_parse_triangle():
     g = parse_edge_list("1 2\n2 3\n3 1")
     assert (g.n, g.m) == (3, 3)
-    assert sorted(g.edges) == [(1, 2), (1, 3), (2, 3)]
+    assert sorted(edge_pairs(g)) == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_parse_skips_comments_and_blanks():
@@ -91,7 +93,68 @@ def test_parse_error_message_and_line(case):
 
 def test_parse_crlf_and_indented_comment():
     g = parse_edge_list("a b\r\n  # b c\r\n\tb c \r\n")
-    assert g.labels[1:] == ("a", "b", "c") and sorted(g.edges) == [(1, 2), (2, 3)]
+    assert g.labels[1:] == ("a", "b", "c") and sorted(edge_pairs(g)) == [(1, 2), (2, 3)]
+
+
+LABELS = st.sampled_from([*"abcdefgh", "10", "é"])
+BLANKS = st.sampled_from(["", " ", "\t", "  \t"])
+# at most two per text, so that many texts can take the split path
+DEFECTS = [None] * 5 + ["#", "\x0b", "\x0c", "\x1c", "loop", "repeat", "one", "three"]
+
+
+@st.composite
+def messy_texts(draw):
+    """Edge-list text over distinct pairs, with blank lines, tabs, CRLF and
+    CR line ends and maybe no final newline, plus at most two lines with a
+    comment, a line end that str.splitlines takes and bytes.split does not
+    ("\x0b", "\x0c", "\x1c"), a self-loop, a repeated pair in either
+    order, or one or three tokens."""
+    pairs = draw(st.lists(st.tuples(LABELS, LABELS).filter(lambda p: p[0] != p[1]),
+                          unique_by=frozenset, max_size=8))
+    sep = st.sampled_from([" ", "\t", " \t "])
+    lines = [f"{draw(BLANKS)}{u}{draw(sep)}{v}{draw(BLANKS)}" for u, v in pairs]
+    lines += [draw(BLANKS) for _ in range(draw(st.integers(0, 2)))]
+    for defect in draw(st.lists(st.sampled_from(DEFECTS), max_size=2)):
+        u, v = draw(LABELS), draw(LABELS)
+        if pairs and draw(st.booleans()):
+            v, u = draw(st.sampled_from(pairs))
+        if defect is not None:
+            lines.append({"#": f"  # {u} {v}", "loop": f"{u} {u}", "repeat": f"{u} {v}",
+                          "one": u, "three": f"{u} {v} {u}"}.get(defect, f"{u} {v}{defect}"))
+    lines = draw(st.permutations(lines))
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[: -len(ends[-1])] if lines and draw(st.booleans()) else text
+
+
+def parse_outcome(parse, text):
+    """Labels and edge rows of the parse, or its exception class and message."""
+    try:
+        G = parse(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return G.labels, G.ends.tolist()
+
+
+@given(messy_texts())
+@example("a b c\nd e\n\nf\n")  # an even label count over uneven lines
+@example("a\r\nb c d\r\n")
+def test_split_parse_agrees_with_line_walk(text):
+    want = parse_outcome(_walk_lines, text)
+    assert parse_outcome(parse_edge_list, text) == want
+    assert parse_outcome(parse_edge_list, text.encode()) == want
+    # the split path declines only what it must: a bad text, or one with a
+    # byte whose reading differs between the paths
+    plain = text.isascii() and not any(c in text for c in "#\x0b\x0c\x1c")
+    if plain and not isinstance(want[0], type):
+        assert _split_parse(text.encode()) is not None
+
+
+def test_graph_arrays_are_read_only():
+    g = bowtie()
+    for a in (g.ends, g.degrees, g.pair_order, *g.csr):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
 
 
 # -- induced subgraphs (helpers in oracles.py) --------------------------------
@@ -167,8 +230,9 @@ def test_elimination_order_realizes_degeneracy(G):
     rep = degeneracy(G)
     pos = {v: i for i, v in enumerate(rep.elimination_order)}
     assert sorted(pos) == list(G.vertices)
+    nbrs = adjacency(G)
     for v in G.vertices:
-        later = sum(1 for w in G.adj[v] if pos[w] > pos[v])
+        later = sum(1 for w in nbrs[v] if pos[w] > pos[v])
         assert later <= rep.degeneracy
 
 
@@ -179,7 +243,7 @@ def test_orientation_out_degree_bound(G):
     rep = degeneracy(G)
     pos = {v: i for i, v in enumerate(rep.elimination_order)}
     out_deg = {v: 0 for v in G.vertices}
-    for u, v in G.edges:
+    for u, v in edge_pairs(G):
         src = u if pos[u] < pos[v] else v
         out_deg[src] += 1
     assert all(d <= rep.degeneracy for d in out_deg.values())
@@ -211,7 +275,7 @@ def test_round_trip_preserves_labeled_graph(text):
     g2 = parse_edge_list(g1.serialize())
     def labeled_edges(G):
         return sorted(
-            tuple(sorted((G.labels[u], G.labels[v]))) for u, v in G.edges
+            tuple(sorted((G.labels[u], G.labels[v]))) for u, v in edge_pairs(G)
         )
     assert (g1.n, g1.m) == (g2.n, g2.m)
     assert sorted(g1.labels) == sorted(g2.labels)
@@ -223,7 +287,7 @@ def test_round_trip_from_generated(G):
     # edge-list text cannot express isolated vertices, so only the touched
     # part of the graph round-trips
     g2 = parse_edge_list(G.serialize())
-    touched = sum(1 for v in G.vertices if G.degree(v) > 0)
+    touched = sum(1 for v in G.vertices if G.degrees[v] > 0)
     assert (g2.n, g2.m) == (touched, G.m)
 
 

@@ -8,6 +8,7 @@ float64 adjacency matrix on 5,000 vertices is 200 MB, over 13 kB per edge.
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from trusskit import (
@@ -25,9 +26,14 @@ from trusskit import (
 )
 
 BYTES_PER_EDGE = 2048
-# parsing holds the text's lines, one label map and the Graph's own edge
-# dict, adjacency and edge tuple, and nothing else per edge
+# parsing holds the text's tokens, one label map and the Graph's arrays,
+# and nothing else per edge
 PARSE_BYTES_PER_EDGE = 320
+# a parsed Graph keeps its edge ends, pair keys and pair order, 32 bytes
+# per edge, and per vertex a label and a degree: 55-60 bytes per edge on
+# the graphs below. One Python tuple per edge would take 64 more, and so
+# would the CSR, built only on first use
+RETAINED_BYTES_PER_EDGE = 72
 
 GRAPHS = {
     "critical_2truss(5000)": (lambda: critical_2truss(5000), 2),
@@ -96,14 +102,41 @@ def test_parse_peak_within_bytes_per_edge(graphs, graph):
     assert peak <= PARSE_BYTES_PER_EDGE * G.m, f"parse peaked at {peak / G.m:.0f} bytes per edge"
 
 
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+def test_parsed_graph_retained_within_bytes_per_edge(graphs, graph):
+    G, _ = graphs[graph]
+    text = G.serialize()
+    tracemalloc.start()
+    try:
+        parsed = parse_edge_list(text)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (parsed.n, parsed.m) == (G.n, G.m)
+    assert kept <= RETAINED_BYTES_PER_EDGE * G.m, f"parse kept {kept / G.m:.0f} bytes per edge"
+
+
 @pytest.mark.parametrize("build", ["parse_edge_list", "from_edges"])
-def test_edge_tuple_is_its_index_key(build):
-    # each edge is held once: edges[e] is the very key that maps to e
+def test_edge_index_agrees_with_ends(build):
+    # pair lookups, single and batched, and the CSR all read the one
+    # edge-end array
     pairs = [(v, u) if (u + v) % 2 else (u, v) for u, v in combinations(range(1, 9), 2)]
+    pairs = [p for p in pairs if sum(p) % 5]
     if build == "from_edges":
         G = from_edges(8, pairs)
     else:
         G = parse_edge_list("".join(f"{u} {v}\n" for u, v in pairs))
-    assert len(G._edge_ids) == G.m == 28
-    for key, e in G._edge_ids.items():
-        assert G.edges[e] is key
+    assert G.ends.shape == (G.m, 2) and G.m == len(pairs) == 22
+    for e, (u, v) in enumerate(G.ends.tolist()):
+        assert u < v and G.edge_id(u, v) == G.edge_id(v, u) == e
+    absent = [(u, v) for u, v in combinations(G.vertices, 2) if [u, v] not in G.ends.tolist()]
+    assert len(absent) == 6 and all(G.edge_id(u, v) is None for u, v in absent)
+    assert G.edge_id(1, 1) is G.edge_id(0, 1) is G.edge_id(1, 9) is None
+    us, vs = np.array(list(combinations(G.vertices, 2))).T
+    want = [-1 if (u, v) in absent else G.edge_id(u, v) for u, v in zip(us, vs)]
+    assert G.edge_ids(vs, us).tolist() == want
+    indptr, nbr, slot_edge = G.csr
+    for v in G.vertices:
+        slots = range(indptr[v], indptr[v + 1])
+        assert [nbr[s] for s in slots] == sorted(w for w in G.vertices if G.edge_id(v, w) is not None)
+        assert all(sorted(G.ends[slot_edge[s]]) == sorted((v, nbr[s])) for s in slots)

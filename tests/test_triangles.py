@@ -16,7 +16,13 @@ from trusskit import (
 from trusskit import triangles
 from trusskit.triangles import ordered_endpoints, triangle_vertices
 
-from .oracles import brute_force_triangles, triple_scan_triangles, vertex_counts
+from .oracles import (
+    adjacency,
+    brute_force_triangles,
+    edge_index,
+    triple_scan_triangles,
+    vertex_counts,
+)
 from .strategies import small_graphs
 from .test_witness import skewed
 
@@ -73,10 +79,10 @@ def test_counts_random_vs_triples():
         tc = triangle_counts(g)
         ref = triple_scan_triangles(g)
         assert tc.total == len(ref)
-        per_edge = [0] * g.m
+        per_edge, eid = [0] * g.m, edge_index(g)
         for a, b, c in ref:
             for x, y in ((a, b), (b, c), (a, c)):
-                per_edge[g.edge_id(x, y)] += 1
+                per_edge[eid[x, y]] += 1
         assert tc.per_edge == per_edge
 
 
@@ -101,7 +107,7 @@ def test_count_identities(G):
 def test_scan_side_has_smaller_degree(G):
     for e in range(G.m):
         a, b = ordered_endpoints(G, e)
-        da, db = G.degree(a), G.degree(b)
+        da, db = G.degrees[a], G.degrees[b]
         assert da < db or (da == db and a < b)
 
 
@@ -127,8 +133,8 @@ def degree_ties():
 
 def most_wedges_at_one_vertex(G):
     """Out-wedges of the busiest vertex when edges point up (degree, id)."""
-    rank = {v: (G.degree(v), v) for v in G.vertices}
-    outs = [sum(rank[w] > rank[v] for w in G.adj[v]) for v in G.vertices]
+    rank, nbrs = {v: (G.degrees[v], v) for v in G.vertices}, adjacency(G)
+    outs = [sum(rank[w] > rank[v] for w in nbrs[v]) for v in G.vertices]
     return max((d * (d - 1) // 2 for d in outs), default=0)
 
 

@@ -139,7 +139,7 @@ def assert_modes_agree(g, seed, b):
 def heavy_per_triangle(g, b):
     """The numbers of heavy vertices (degree over m^(1-b)) that g's
     triangles have."""
-    heavy = {v for v in g.vertices if g.degree(v) > g.m ** (1.0 - b)}
+    heavy = {v for v in g.vertices if g.degrees[v] > g.m ** (1.0 - b)}
     return {len(heavy.intersection(t)) for t in triangle_vertices(g).tolist()}
 
 
@@ -148,7 +148,7 @@ def test_matrix_init_muladd_ceiling(monkeypatch):
     g = gnp_random(30, 0.4, seed=1)
     cfg = WitnessConfig(k_trunc=3, b=0.9, init_mode="matrix")
     L = init_witness(g, cfg).L
-    h = sum(1 for v in g.vertices if g.degree(v) > g.m ** (1.0 - 0.9))
+    h = sum(1 for v in g.vertices if g.degrees[v] > g.m ** (1.0 - 0.9))
     assert h > 0
     monkeypatch.setattr(witness, "_MATRIX_MULADDS", h**3 * (L + 1) - 1)
     with pytest.raises(ResourceLimitError, match=f"~{h**3 * (L + 1)} multiply-adds"):
