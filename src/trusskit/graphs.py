@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -138,11 +138,11 @@ def from_edges(n: int, pairs: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
 
 
 # byte classes of the split parse: 0 label, 1 blank, 2 line break, and 3 for
-# '#' and the bytes that str.split/splitlines and bytes.split disagree on
+# the bytes that str.split/splitlines and bytes.split disagree on
 _BYTE_CLASS = np.zeros(256, np.uint8)
 _BYTE_CLASS[[9, 32]] = 1
 _BYTE_CLASS[[10, 13]] = 2
-_BYTE_CLASS[[11, 12, 28, 29, 30, 31, 35, *range(128, 256)]] = 3
+_BYTE_CLASS[[11, 12, 28, 29, 30, 31, *range(128, 256)]] = 3
 
 
 def parse_edge_list(text: str | bytes) -> Graph:
@@ -151,8 +151,8 @@ def parse_edge_list(text: str | bytes) -> Graph:
     Lines starting with '#' and blank lines are skipped. Vertex labels are
     arbitrary tokens, mapped to ids 1..n in first-appearance order.
     Self-loops and duplicate edges are rejected, and so is text that is not
-    UTF-8, each with its line number. ASCII text without '#' is split in
-    one pass; the line walk reads the rest and names the line of any error.
+    UTF-8, each with its line number. ASCII text is split in one pass; the
+    line walk reads the rest and names the line of any error.
     """
     data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else bytes(text)
     return _split_parse(data) or _walk_lines(text)
@@ -160,15 +160,20 @@ def parse_edge_list(text: str | bytes) -> Graph:
 
 def _split_parse(data: bytes) -> Graph | None:
     """The Graph of ``data`` read in one split, or None if it holds a byte
-    of class 3, a non-blank line without exactly two labels, a self-loop or
-    a duplicate edge."""
+    of class 3, a line without two labels that is neither blank nor headed
+    by a label starting with '#', a self-loop or a duplicate edge."""
     cls = _BYTE_CLASS[np.frombuffer(data, np.uint8)]
     starts = np.flatnonzero(np.diff((cls == 0).view(np.int8), prepend=0) == 1)
     line = np.searchsorted(np.flatnonzero(cls == 2), starts)  # of each label
+    keep = None
+    if b"#" in data:  # drop the comment lines, those a label starting with '#' heads
+        hashed = np.flatnonzero(np.frombuffer(data, np.uint8)[starts] == ord("#"))
+        keep = ~np.isin(line, line[hashed[np.diff(line, prepend=-1)[hashed] > 0]])
+        line = line[keep]
     if cls.max(initial=0) == 3 or not np.isin(np.bincount(line), (0, 2)).all():
         return None
     del cls, starts, line
-    tokens = data.split()
+    tokens = data.split() if keep is None else list(compress(data.split(), keep.tolist()))
     ids = {label: i for i, label in enumerate(dict.fromkeys(tokens), start=1)}
     flat = np.fromiter(map(ids.__getitem__, tokens), np.int64, len(tokens))
     labels = [label.decode() for label in ids]

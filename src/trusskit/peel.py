@@ -2,17 +2,18 @@
 
 Per edge we keep the number of triangles it still lies on in the residual
 graph (sentinel -1 once removed). One kernel, ``_peel``, runs the rounds:
-a stack drives cascading removals inside a round, and the scan list is a
-plain array compacted lazily by swapping dead entries to the end while it
-is being traversed, so no linked structure is needed. The kernel is given
-the removal step that finds the triangles through a removed edge. The
-exact decomposition, and the criticality trials at one fixed k, walk the
-edge's row of the edge -> triangle incidence built from the listing and
+each round finds its frontier, the live edges below the round threshold,
+with numpy over the live edge ids. A large frontier leaves in bulk steps,
+the level-synchronous peel of PKT (Kabir & Madduri 2017); a small one,
+as in long thin cascades, drains through a stack one edge at a time. The
+kernel is given the removal steps that find the triangles through the
+removed edges. The exact decomposition, and the criticality trials at one
+fixed k, read the edge -> triangle incidence built from the listing and
 kill each live triangle once (the triangle-list peel of Wang & Cheng
 2012), so a whole peel does O(T) removal work for T triangles. The
 truncated decomposition is the same peel stopped after round k_trunc;
-the witness engine in ``witness`` runs those rounds with a step that
-reads its table instead.
+the witness engine in ``witness`` runs those rounds with a stack step
+that reads its table instead.
 Each decomposition is a single-threaded state machine; the input Graph is
 only read, so decompositions of different graphs can run concurrently.
 """
@@ -23,10 +24,15 @@ from array import array
 from dataclasses import dataclass
 from math import isqrt
 
+import numpy as np
+
 from .graphs import Graph, ValidationError
 from .triangles import TriangleCounts, triangle_counts
 
 REMOVED = -1
+# a frontier below _SWITCH edges drains through the stack step: a bulk step's numpy
+# overhead buys dozens of stack removals; _GATHER ids (~1 MiB) fit the listing estimate
+_SWITCH, _GATHER = 64, 1 << 14
 
 
 @dataclass
@@ -57,6 +63,9 @@ class TrussLabels:
 
 @dataclass
 class PeelStats:
+    """Work counters: rounds run, edges the stack step removed (bulk steps
+    are not counted), live edge ids the round scans read, triangles killed."""
+
     rounds: int = 0
     stack_pushes: int = 0
     scan_steps: int = 0
@@ -85,13 +94,11 @@ def instrumented_truss_decomposition(
     if m == 0:
         return TrussLabels([], k_trunc), PeelStats()
     counts = triangle_counts(G)
-    delta = list(counts.per_edge)
-    remove = _triangle_removal(delta, counts)
+    delta = array("q", counts.per_edge)
     k_stop = k_trunc or min(isqrt(2 * m), max(delta) + 1)
-    tau = [k_stop] * m
-    residual, stats = _peel(delta, k_stop, remove, tau)
-    assert k_trunc or residual == 0, "peeling failed to remove every edge"
-    return TrussLabels(tau, k_trunc), stats
+    tau, stats = _peel(delta, k_stop, *_triangle_steps(delta, counts))
+    assert k_trunc or max(delta) == REMOVED, "peeling failed to remove every edge"
+    return TrussLabels(tau.tolist(), k_trunc), stats
 
 
 def _truncation_cap(m: int) -> int:
@@ -113,66 +120,61 @@ def _check_k_trunc(k_trunc: int, m: int) -> None:
         )
 
 
-def _peel(delta, k_stop, remove, tau, check=None) -> tuple[int, PeelStats]:
+def _peel(delta, k_stop, remove, bulk=None, check=lambda *_: None) -> tuple[array, PeelStats]:
     """Threshold-peeling rounds k = 1..k_stop over the residual counts
-    ``delta``, stopping early once no edge is left; returns the number of
-    edges left and the work counters.
+    ``delta``, stopping early once no edge is left; returns the labels
+    ``tau`` (k_stop where no round removed the edge) and the work counters.
 
     Round k removes every residual edge whose count drops below k and
-    sets its tau to k - 1. The scan list is compacted lazily by swapping
-    removed entries to the end while it is traversed; triangle-free edges
-    leave during the round-1 scan without being stacked, since removing
-    them changes no other count. ``remove(e, k, stack)`` marks e removed,
-    decrements the two other edges of every residual triangle through e,
-    pushes each one that reaches k - 1, and returns the steps it took; it
-    is the only part that knows how the triangles are found.
-    ``check(k, stack)``, if given, runs after each scan and after each
-    drained stack.
+    sets its tau to k - 1. Each round scans the live edge ids with numpy
+    for its frontier, the edges below k; triangle-free edges leave in
+    round 1 without a step, since removing them changes no other count.
+    While the frontier holds at least ``_SWITCH`` edges, ``bulk(frontier,
+    k)`` removes all of it and returns its steps and the next frontier,
+    the edges that fell below k. The rest of the round drains through a
+    stack: ``remove(e, k, stack)`` marks e removed, decrements the two
+    other edges of every residual triangle through e, pushes each one that
+    reaches k - 1, and returns the steps it took. The steps are the only
+    part that knows how the triangles are found. ``check(k, frontier)``
+    runs after each scan, after each bulk step and after each drained stack.
     """
-    scan_list = list(range(len(delta)))
-    stack: list[int] = []
-    residual = len(delta)
+    live, tau = np.arange(len(delta)), array("q", [k_stop]) * len(delta)
+    counts, labels = np.frombuffer(delta, np.int64), np.frombuffer(tau, np.int64)
     k = scans = pops = steps = 0
     for k in range(1, k_stop + 1):
-        i = 0
-        while i < len(scan_list):
-            scans += 1
-            e = scan_list[i]
-            de = delta[e]
-            if de == REMOVED or (k == 1 and de == 0):
-                if de == 0:
-                    tau[e] = 0
-                    delta[e] = REMOVED
-                    residual -= 1
-                scan_list[i] = scan_list[-1]
-                scan_list.pop()
-                continue
-            if de == k - 1:
-                stack.append(e)
-            i += 1
-        if check:
-            check(k, stack)
+        scans += len(live)
+        frontier = live[counts[live] < k]
+        if k == 1:
+            counts[frontier], labels[frontier], frontier = REMOVED, 0, frontier[:0]
+        check(k, frontier)
+        while bulk and len(frontier) >= _SWITCH:
+            labels[frontier] = k - 1
+            done, frontier = bulk(frontier, k)
+            steps += done
+            check(k, frontier)
+        stack = frontier.tolist()
         while stack:
             e = stack.pop()
             pops += 1
             steps += remove(e, k, stack)
             tau[e] = k - 1
-            residual -= 1
-        if check:
-            check(k, stack)
-        if residual == 0:
+        check(k, stack)
+        live = live[counts[live] != REMOVED]
+        if not len(live):
             break
-    stats = PeelStats(rounds=k, stack_pushes=pops, scan_steps=scans, removal_steps=steps)
-    return residual, stats
+    return tau, PeelStats(rounds=k, stack_pushes=pops, scan_steps=scans, removal_steps=steps)
 
 
-def _triangle_removal(delta: list[int], counts: TriangleCounts):
-    """The removal step that walks the removed edge's row of the
-    edge -> triangle incidence; each triangle still alive is killed once,
-    and each kill is one step, so a whole peel takes at most T steps."""
-    ptr, tri = counts.incidence
-    listing = counts.listing
+def _triangle_steps(delta: array, counts: TriangleCounts):
+    """``(remove, bulk)``, the steps that kill each live triangle through the
+    removed edges once, one step a kill, so a whole peel takes at most T
+    steps. ``remove`` walks one edge's row of the edge -> triangle incidence;
+    ``bulk`` gathers the frontier's rows and decrements each survivor by its kills."""
+    (ptr, tri), listing = counts.incidence, counts.listing
     alive = bytearray(b"\x01") * counts.total
+    rows, ids = np.frombuffer(ptr, np.int64), np.frombuffer(tri, np.int32)
+    edges_of = np.frombuffer(listing, np.int32).reshape(-1, 3)
+    live_tri, live_count = np.frombuffer(alive, np.uint8), np.frombuffer(delta, np.int64)
 
     def remove(e: int, k: int, stack: list[int]) -> int:
         assert delta[e] != REMOVED, f"edge {e} removed twice"
@@ -189,7 +191,31 @@ def _triangle_removal(delta: list[int], counts: TriangleCounts):
                             stack.append(f)
         return steps
 
-    return remove
+    def bulk(frontier: np.ndarray, k: int) -> tuple[int, np.ndarray]:
+        assert (live_count[frontier] != REMOVED).all(), "frontier edge removed twice"
+        live_count[frontier] = REMOVED
+        hi = rows[frontier + 1]
+        ends = np.cumsum(hi - rows[frontier])  # row r ends at ends[r] in the gather
+        steps, crossed = 0, [frontier[:0]]
+        for lo in range(0, int(ends[-1]), _GATHER):
+            at = np.arange(lo, min(lo + _GATHER, int(ends[-1])))
+            r = np.searchsorted(ends, at, side="right")
+            t = ids[hi[r] - ends[r] + at]
+            t = t[live_tri[t] == 1]
+            t = t[np.argsort(t, kind="stable")]  # np.sort would page in more code
+            t = t[np.diff(t, prepend=-1) > 0]
+            live_tri[t] = 0
+            steps += len(t)
+            f = edges_of[t].ravel()
+            f = f[live_count[f] != REMOVED]
+            f = f[np.argsort(f, kind="stable")]
+            first = np.flatnonzero(np.diff(f, prepend=-1))
+            f, c = f[first], np.diff(first, append=len(f))
+            live_count[f] -= c
+            crossed.append(f[(live_count[f] < k) & (live_count[f] + c >= k)])
+        return steps, np.concatenate(crossed)
+
+    return remove, bulk
 
 
 def _critical_trials(counts: TriangleCounts, k: int) -> tuple[bool, int]:

@@ -377,7 +377,6 @@ def run_rounds(state: WitnessState) -> TrussLabels:
     the state keeps the enumeration and fallback counters of the run."""
     k_trunc = state.cfg.k_trunc
     delta = state.delta
-    tau = [k_trunc] * state.G.m
 
     def remove(e: int, k: int, stack: list[int]) -> int:
         affected = remove_edge(state, e, enumerate_residual(state, e))
@@ -386,5 +385,5 @@ def run_rounds(state: WitnessState) -> TrussLabels:
                 stack.append(f)
         return len(affected)
 
-    _peel(delta, k_trunc, remove, tau)
-    return TrussLabels(tau, k_trunc)
+    tau, _ = _peel(delta, k_trunc, remove)
+    return TrussLabels(tau.tolist(), k_trunc)

@@ -88,6 +88,25 @@ def test_critical_peak_within_listing_estimate(make, k):
     assert peak <= estimate, f"peak {peak} over the listing estimate {estimate}"
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: from_edges(150, combinations(range(1, 151), 2)), lambda: critical_truss(4, 400)],
+    ids=["K_150", "critical_truss(4, 400)"],
+)
+def test_decomposition_peak_within_listing_estimate(make):
+    # the peel's bulk steps gather the frontier's incidence rows in chunks:
+    # K_150 removes all 11,175 edges, 3 * 551,300 incidence ids, in one step
+    G = make()
+    estimate = triangle_counts(G).mem_estimate
+    tracemalloc.start()
+    try:
+        truss_decomposition(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate, f"peak {peak} over the listing estimate {estimate}"
+
+
 @pytest.mark.parametrize("graph", sorted(GRAPHS))
 def test_parse_peak_within_bytes_per_edge(graphs, graph):
     G, _ = graphs[graph]

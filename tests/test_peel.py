@@ -6,7 +6,7 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from trusskit import (
     ValidationError,
@@ -31,6 +31,7 @@ from .oracles import (
     peel_to_fixed_point,
 )
 from .strategies import small_graphs
+from .test_checks import cycle_join
 
 
 def complete(n):
@@ -71,20 +72,65 @@ def test_oracle_equivalence_hypothesis(G):
     assert truss_decomposition(G).tau == oracle_truss_decomposition(G).tau
 
 
-@given(small_graphs())
-def test_internal_invariants_hold(G):
+@given(small_graphs(), st.sampled_from([1, peel._SWITCH]))
+# edge 1-2 loses two triangles in one bulk step and survives it; then a
+# survivor whose two kills are not adjacent in the listing, and a triangle
+# that only the last incidence id of a gather reaches
+@example(from_edges(6, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (2, 5), (1, 6), (2, 6), (5, 6)]), 1)
+@example(from_edges(5, [(1, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 5), (4, 5)]), 1)
+@example(from_edges(8, [(1, 5), (1, 8), (2, 4), (2, 6), (2, 7), (2, 8), (3, 7), (3, 8), (4, 5),
+                        (4, 6), (4, 7), (5, 6), (5, 8), (6, 7), (6, 8)]), 1)
+def test_internal_invariants_hold(G, switch):
     # the production entry point, with the kernel's check hook set to the
-    # reference invariants at every round boundary
+    # reference invariants after every scan, bulk step and drained stack;
+    # a switch of 1 sends every frontier through bulk steps
     kernel, runs = peel._peel, []
 
-    def checked(delta, k_stop, remove, tau):
-        runs.append(k_stop)
-        return kernel(delta, k_stop, remove, tau, partial(assert_invariants, G, delta))
+    def checked(delta, *args):
+        runs.append(args)
+        return kernel(delta, *args, check=partial(assert_invariants, G, delta))
 
-    with mock.patch.object(peel, "_peel", checked):
+    with mock.patch.object(peel, "_peel", checked), mock.patch.object(peel, "_SWITCH", switch):
         labels = truss_decomposition(G)
     assert len(runs) == (G.m > 0)
     assert labels.tau == oracle_truss_decomposition(G).tau
+
+
+@given(small_graphs(), st.sampled_from(["bulk", "mixed", "stack"]), st.sampled_from([1, 7]))
+# edge 1-2 falls below k in one gather chunk and again in the next
+@example(from_edges(4, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)]), "mixed", 1)
+def test_bulk_and_stack_steps_agree(G, kind, gather):
+    # bulk steps only (switch 1), both (switch 3) or stack steps only
+    # (switch above m), with gathers cut after 1 or 7 incidence ids: the
+    # same labels, and each triangle killed once, by the first of its
+    # edges to go
+    full = oracle_truss_decomposition(G).tau
+    counts = triangle_counts(G)
+    first = [min(full[e] for e in counts.listing[3 * t : 3 * t + 3]) for t in range(counts.total)]
+    switch = {"bulk": 1, "mixed": 3, "stack": G.m + 1}[kind]
+    with mock.patch.multiple(peel, _SWITCH=switch, _GATHER=gather):
+        for k_trunc in [None, *range(1, _truncation_cap(G.m) + 1)]:
+            labels, stats = instrumented_truss_decomposition(G, k_trunc=k_trunc)
+            assert labels.tau == [min(t, k_trunc or t) for t in full]
+            assert stats.removal_steps == sum(t < (k_trunc or t + 1) for t in first)
+            stacked = sum(1 <= t < (k_trunc or t + 1) for t in full)  # after round 1
+            if kind != "mixed":
+                assert stats.stack_pushes == (0 if kind == "bulk" else stacked)
+
+
+def test_long_cascade_drains_through_the_stack():
+    # a critical 4-truss (a c-cycle joined to a 4-cycle of hubs) minus one
+    # cycle edge: every edge keeps at least 3 triangles, so round 4 removes
+    # all of it in one cascade round the cycle whose frontiers stay far
+    # below the switch size. Every tau is 3, as the reference finds for c = 12
+    for c in (12, 20_000):
+        G = from_edges(c + 4, [p for p in edge_pairs(cycle_join(c, 4, seed=1)) if p != (1, 2)])
+        labels, stats = instrumented_truss_decomposition(G)
+        assert labels.tau == [3] * G.m
+        if c == 12:
+            assert labels.tau == oracle_truss_decomposition(G).tau
+        assert stats.removal_steps == triangle_counts(G).total
+        assert stats.stack_pushes == G.m
 
 
 # the maximal k-truss: the edges the reference peel keeps
