@@ -14,15 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from . import checks
-from .graphs import Graph, ValidationError, from_edges
-
-
-class InfeasibleError(Exception):
-    """No valid construction exists for the requested parameters."""
-
-
-class ConstructionError(Exception):
-    """A generator produced a graph that failed its own verification."""
+from .graphs import ConstructionError, Graph, InfeasibleError, ValidationError, from_edges
 
 
 @dataclass

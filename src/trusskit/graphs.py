@@ -38,6 +38,26 @@ class ValidationError(GraphError):
     """Structurally invalid input: self-loops, duplicate edges, bad ids."""
 
 
+class InfeasibleError(Exception):
+    """No valid construction exists for the requested parameters."""
+
+
+class ConstructionError(Exception):
+    """A generator produced a graph that failed its own verification."""
+
+
+def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for non-negative ints below
+    ``bound``: an LSD radix sort, one stable argsort of uint16 digits,
+    which numpy radix-sorts, per 16 bits of ``bound - 1``."""
+    order = None
+    for shift in range(0, max(bound - 1, 0).bit_length(), 16):
+        digits = ((keys if order is None else keys[order]) >> shift).astype(np.uint16)
+        step = np.argsort(digits, kind="stable")
+        order = step if order is None else order[step]
+    return np.arange(len(keys)) if order is None else order
+
+
 class Graph:
     """Undirected simple graph, immutable after construction.
 
@@ -60,7 +80,8 @@ class Graph:
         raw = pairs.astype(np.int64, copy=False).reshape(-1, 2)
         lo, hi = raw.min(axis=1), raw.max(axis=1)
         keys = lo * (n + 1) + hi
-        order = np.argsort(keys, kind="stable")
+        # keys out of range sort by their low bits: any repeat hidden follows a bad row
+        order = stable_order(keys, (n + 1) ** 2)
         keys = keys[order]
         bad = np.flatnonzero((lo < 1) | (hi > n) | (lo == hi))
         twins = order[1:][keys[1:] == keys[:-1]]  # later rows of a repeated pair
@@ -88,8 +109,8 @@ class Graph:
     @property
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._csr is None:
-            dst = self.ends[:, ::-1].ravel()
-            slots = np.lexsort((dst, self.ends.ravel()))  # 2e and 2e + 1 are edge e
+            src, dst = self.ends.ravel(), self.ends[:, ::-1].ravel()
+            slots = stable_order(src * (self.n + 1) + dst, (self.n + 1) ** 2)  # 2e, 2e + 1: edge e
             indptr = np.zeros(self.n + 2, np.int64)
             np.cumsum(self.degrees, out=indptr[1:])
             self._csr = (indptr, dst[slots], slots // 2)

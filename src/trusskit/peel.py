@@ -10,7 +10,9 @@ kernel is given the removal steps that find the triangles through the
 removed edges. The exact decomposition, and the criticality trials at one
 fixed k, read the edge -> triangle incidence built from the listing and
 kill each live triangle once (the triangle-list peel of Wang & Cheng
-2012), so a whole peel does O(T) removal work for T triangles. The
+2012), so a whole peel does O(T) removal work for T triangles; a bulk
+step first marks its frontier removed, so a live triangle's removed edges
+are its frontier edges, and kills it once, from the first of them. The
 truncated decomposition is the same peel stopped after round k_trunc;
 the witness engine in ``witness`` runs those rounds with a stack step
 that reads its table instead.
@@ -26,8 +28,8 @@ from math import isqrt
 
 import numpy as np
 
-from .graphs import Graph, ValidationError
-from .triangles import TriangleCounts, triangle_counts
+from .graphs import Graph, ValidationError, stable_order
+from .triangles import TriangleCounts, _runs, triangle_counts
 
 REMOVED = -1
 # a frontier below _SWITCH edges drains through the stack step: a bulk step's numpy
@@ -194,21 +196,17 @@ def _triangle_steps(delta: array, counts: TriangleCounts):
     def bulk(frontier: np.ndarray, k: int) -> tuple[int, np.ndarray]:
         assert (live_count[frontier] != REMOVED).all(), "frontier edge removed twice"
         live_count[frontier] = REMOVED
-        hi = rows[frontier + 1]
-        ends = np.cumsum(hi - rows[frontier])  # row r ends at ends[r] in the gather
         steps, crossed = 0, [frontier[:0]]
-        for lo in range(0, int(ends[-1]), _GATHER):
-            at = np.arange(lo, min(lo + _GATHER, int(ends[-1])))
-            r = np.searchsorted(ends, at, side="right")
-            t = ids[hi[r] - ends[r] + at]
-            t = t[live_tri[t] == 1]
-            t = t[np.argsort(t, kind="stable")]  # np.sort would page in more code
-            t = t[np.diff(t, prepend=-1) > 0]
+        for r, at in _runs(rows[frontier], rows[frontier + 1] - rows[frontier], _GATHER):
+            mine = live_tri[ids[at]] == 1
+            t, e = ids[at[mine]], frontier[r[mine]]
+            cols = edges_of[t]
+            gone = live_count[cols] == REMOVED
+            mine = cols[np.arange(len(t)), gone.argmax(axis=1)] == e  # its first removed edge
+            t, f = t[mine], cols[mine][~gone[mine]]
             live_tri[t] = 0
             steps += len(t)
-            f = edges_of[t].ravel()
-            f = f[live_count[f] != REMOVED]
-            f = f[np.argsort(f, kind="stable")]
+            f = f[stable_order(f, len(delta))]
             first = np.flatnonzero(np.diff(f, prepend=-1))
             f, c = f[first], np.diff(first, append=len(f))
             live_count[f] -= c

@@ -3,10 +3,12 @@
 Each triangle is listed once by the forward scheme (Chiba & Nishizeki
 1985; Latapy 2008): edges point up the (degree, id) ranking, and each pair
 of out-edges of a vertex (an out-wedge) closes a triangle if the edge
-between their heads exists. There are O(m * avg degeneracy) out-wedges,
-closed in numpy blocks of ``_WEDGE_BLOCK`` by a ``searchsorted`` on the
-sorted oriented edge keys. Counting for the peel keeps each triangle's
-edge ids, from which it builds its edge -> triangle incidence, and the
+between their heads exists. There are O(m * avg degeneracy) out-wedges:
+numpy blocks of about ``_WEDGE_BLOCK`` expand whole out-lists with
+``np.repeat`` and close each wedge by a ``searchsorted`` on the oriented
+edge keys, which ``graphs.stable_order`` sorts. Counting for the peel
+keeps each triangle's edge ids, counts them in one ``bincount`` and
+builds the edge -> triangle incidence from them, and the
 vertex listing keeps each triangle's vertices, both under the memory cap;
 count-only callers keep none, and witness init and the bound report read
 the blocks as they come.
@@ -23,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, stable_order
 
 DEFAULT_MEM_CAP = 4 * 2**30  # bytes a triangle listing or witness init may allocate
 MEM_CAP_ENV = "TRUSSKIT_MEM_CAP"
@@ -58,19 +60,27 @@ class TriangleCounts:
     @cached_property
     def incidence(self) -> tuple[array, array]:
         """Edge -> triangle CSR ``(ptr, tri)``: the triangles through edge
-        e are ``tri[ptr[e]:ptr[e + 1]]``, ascending."""
+        e are ``tri[ptr[e]:ptr[e + 1]]``, ascending. A counting sort of the
+        listing's edge ids, radix-sorted and placed a block at a time."""
         ptr = array("q", accumulate(self.per_edge, initial=0))
-        rows = np.argsort(np.frombuffer(self.listing, np.int32), kind="stable")
-        rows //= 3
-        rows = rows.astype(np.int32)
-        return ptr, array("i", rows.tobytes())
+        ids, tri = np.frombuffer(self.listing, np.int32), array("i", [0]) * len(self.listing)
+        rows, fill = np.frombuffer(tri, np.int32), np.array(ptr[:-1])  # each row's next slot
+        for lo in range(0, len(ids), _WEDGE_BLOCK):
+            order = stable_order(ids[lo : lo + _WEDGE_BLOCK], len(fill))
+            e = ids[lo + order]
+            first = np.flatnonzero(np.diff(e, prepend=-1))
+            size = np.diff(first, append=len(e))
+            rows[np.repeat(fill[e[first]] - first, size) + np.arange(len(e))] = (lo + order) // 3
+            fill[e[first]] += size
+        return ptr, tri
 
 
 def _footprint(G: Graph, kept: int) -> int:
     """Bytes that listing G and keeping ``kept`` triangles with their
     incidence may allocate, as tracemalloc counts: arrays per vertex and
-    per edge, a block's temporaries, and per triangle the listing, the
-    incidence's int64 argsort and int32 rows and the peel's alive byte."""
+    per edge, a block's temporaries, and per triangle (29 of the 56 bytes)
+    the listing and the incidence's rows, three int32 ids each, the peel's
+    alive byte and the critical trials' int32 kill journal."""
     return 64 * (G.n + 1) + 80 * G.m + 140 * _WEDGE_BLOCK + 56 * kept + 65536
 
 
@@ -92,27 +102,36 @@ def _blocks(G: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     n1, m = G.n + 1, G.m
     if m == 0:
         return
-    by_rank = np.argsort(G.degrees, kind="stable")
-    rank = np.argsort(by_rank, kind="stable")  # position in (degree, id) order
+    by_rank = stable_order(G.degrees, n1)
+    rank = np.empty(n1, np.int64)
+    rank[by_rank] = np.arange(n1)  # position in (degree, id) order
     ends = rank[G.ends]
     keys = ends.min(axis=1) * n1 + ends.max(axis=1)  # edge (lo, hi) in rank order
     del ends
-    eid = np.argsort(keys, kind="stable")  # edge ids in (src, dst) order: the out-CSR
+    eid = stable_order(keys, n1 * n1)  # edge ids in (src, dst) order: the out-CSR
     keys = keys[eid]
     src, dst = np.divmod(keys, n1)
-    # slot s heads the later[s] wedges (s, t), t a later slot of its out-list
+    # slot s heads the later[s] wedges (s, t), t = s + 1, s + 2, ... in its out-list
     later = np.cumsum(np.bincount(src, minlength=n1))[src] - 1 - np.arange(m)
-    last = np.cumsum(later)  # wedges headed by slots up to s
-    for lo in range(0, int(last[-1]), _WEDGE_BLOCK):
-        w = np.arange(lo, min(lo + _WEDGE_BLOCK, int(last[-1])))
-        s = np.searchsorted(last, w, side="right")
-        t = w - last[s] + later[s] + s + 1
+    for s, t in _runs(np.arange(1, m + 1), later, _WEDGE_BLOCK):
         close = dst[s] * n1 + dst[t]
         at = np.minimum(np.searchsorted(keys, close), m - 1)
         hit = keys[at] == close
         s, t, at = s[hit], t[hit], at[hit]
         opposite = by_rank[np.stack([dst[t], dst[s], src[s]], axis=1)]
         yield opposite, eid[np.stack([s, t, at], axis=1)]
+
+
+def _runs(first: np.ndarray, size: np.ndarray, chunk: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Yield the run i and the value ``first[i] + j`` of each j < ``size[i]``
+    (``size`` non-empty), in chunks of about ``chunk`` values cut at run bounds."""
+    ends = np.cumsum(size)
+    offset = first - ends + size  # a run's first value minus its first position
+    cuts = np.searchsorted(ends, range(chunk, int(ends[-1]), chunk), side="right").tolist()
+    for a, b in zip([0, *cuts], [*cuts, len(size)]):
+        if a < b:
+            run = np.repeat(np.arange(a, b), size[a:b])
+            yield run, np.arange(ends[a] - size[a], ends[b - 1]) + offset[run]
 
 
 def triangle_vertices(G: Graph) -> np.ndarray:
@@ -145,7 +164,9 @@ def triangle_counts(G: Graph, *, keep_listing: bool = True) -> TriangleCounts:
         if listing is not None:
             need = _reserve(G, total)
             listing.frombytes(edges.astype(np.int32).view(np.uint8))
-        per_edge += np.bincount(edges.ravel(), minlength=G.m)
+        else:
+            per_edge += np.bincount(edges.ravel(), minlength=G.m)
+    per_edge = np.bincount(np.frombuffer(listing, np.int32), minlength=G.m) if listing else per_edge
     return TriangleCounts(per_edge.tolist(), total, listing, need)
 
 

@@ -397,6 +397,7 @@ def option_table(parser, prefix=""):
 
 def test_cli_surface(tmp_path, capsys):
     assert option_table(build_parser()) == CLI_OPTIONS
+    assert build_parser().parse_args(["bench"]).seed == DEFAULT_SEED
     # truncated-truss runs the stopped peel only: the witness engine's
     # tuning is a library config, and the seed never changed a byte
     for flag in (["--seed", "7"], ["--sets", "3"], ["--prob", "0.5"],
@@ -533,6 +534,68 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 10
+
+
+# runs ``python -m trusskit`` with the arguments after -c, then names the
+# package modules it loaded on stderr
+LOADED_AFTER_RUN = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('trusskit', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print(*sorted(m for m in sys.modules if m.startswith('trusskit.')), file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "args, loaded",
+    [
+        (["truss"], "trusskit.cli trusskit.graphs trusskit.peel trusskit.triangles"),
+        (["verify", "critical", "--k", "3"],
+         "trusskit.checks trusskit.cli trusskit.graphs trusskit.peel trusskit.triangles"),
+    ],
+    ids=["truss", "verify-critical"],
+)
+def test_subcommand_loads_only_what_it_runs(tmp_path, args, loaded):
+    # neither the witness engine nor the generators, and truss no checks
+    want = run_cli(args, tmp_path, k5_text())
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER_RUN, "-i", str(tmp_path / "in.txt"), *args],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == want
+    assert proc.stderr.splitlines()[-1] == loaded
+
+
+# every name the package exported when its __init__ imported each module
+EXPORTS = {
+    "graphs": "Graph GraphError ParseError ValidationError DegeneracyReport degeneracy "
+              "from_edges parse_edge_list",
+    "triangles": "TriangleCounts triangle_counts ResourceLimitError",
+    "peel": "TrussLabels k_truss_components truss_decomposition",
+    "witness": "WitnessConfig WitnessState EnumerationOutcome ResourceLimitError "
+               "enumerate_residual init_witness remove_edge truncated_decomposition",
+    "generators": "ConstructionReceipt FaceEmbedding InfeasibleError clique_chain "
+                  "clique_chain_remainder critical_2truss critical_truss gnp_random suspend "
+                  "suspension_ladder torus_embedding truss_from_embedding",
+    "checks": "BoundReport bound_report is_critical_k_truss is_k_truss",
+}
+
+
+def test_package_names_resolve_on_first_access():
+    import importlib
+
+    import trusskit
+
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"trusskit.{module}")
+        for name in names.split():
+            scope = {}
+            exec(f"from trusskit import {name}", scope)
+            assert scope[name] is getattr(home, name), name
+    assert trusskit.__version__ == "0.1.0"
+    with pytest.raises(ImportError):
+        exec("from trusskit import no_such_name", {})
 
 
 def test_shell_pipeline_composes():

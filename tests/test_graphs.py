@@ -4,6 +4,7 @@ the tests."""
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from trusskit import (
     from_edges,
     parse_edge_list,
 )
-from trusskit.graphs import _split_parse, _walk_lines
+from trusskit.graphs import _split_parse, _walk_lines, stable_order
 
 from .oracles import adjacency, edge_pairs, induced_by_edges, induced_by_vertices
 from .strategies import edge_texts, small_graphs
@@ -152,6 +153,17 @@ def test_split_parse_agrees_with_line_walk(text):
     plain = text.isascii() and not any(c in text for c in "\x0b\x0c\x1c")
     if plain and not isinstance(want[0], type):
         assert _split_parse(text.encode()) is not None
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("bound", [1, 2, 2**16, 2**16 + 1, 2**33 + 5])
+@given(data=st.data())
+def test_stable_order_is_the_stable_argsort(bound, dtype, data):
+    # zero to three uint16 radix passes, with ties kept in input order
+    top = min(bound, np.iinfo(dtype).max + 1) - 1
+    drawn = data.draw(st.lists(st.integers(0, min(top, 3)) | st.integers(0, top), max_size=300))
+    for keys in (np.array([], dtype), np.array(drawn, dtype)):
+        assert stable_order(keys, bound).tolist() == np.argsort(keys, kind="stable").tolist()
 
 
 def test_graph_arrays_are_read_only():
@@ -302,8 +314,11 @@ def test_round_trip_from_generated(G):
         ([(1, 2), (0, 3)], "vertex id out of range in edge (0, 3)"),
         ([(1, 2), (3, 3)], "self-loop on vertex 3"),
         ([(1, 2), (2, 3), (2, 1)], "duplicate edge (1, 2)"),
+        # (1, 65538) has the key of (1, 2) in its low 16 bits, so it sorts
+        # between the repeated pair; the earlier bad row is still reported
+        ([(1, 2), (1, 65538), (2, 1)], "vertex id out of range in edge (1, 65538)"),
     ],
-    ids=["out-of-range", "zero-id", "self-loop", "duplicate"],
+    ids=["out-of-range", "zero-id", "self-loop", "duplicate", "bad-row-between-repeats"],
 )
 def test_graph_rejects_bad_pairs(pairs, message):
     with pytest.raises(ValidationError) as exc:

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -24,6 +25,7 @@ from .oracles import (
     vertex_counts,
 )
 from .strategies import small_graphs
+from .test_checks import cycle_join
 from .test_witness import skewed
 
 
@@ -195,10 +197,14 @@ def test_listing_peak_within_mem_estimate(g, monkeypatch):
 
 
 def test_incidence_rows_hold_each_edges_triangles():
-    g = gnp_random(40, 0.3, seed=3)
-    tc = triangle_counts(g)
-    ptr, tri = tc.incidence
-    for e in range(g.m):
-        row = list(tri[ptr[e] : ptr[e + 1]])
-        assert row == sorted(row) and len(row) == tc.per_edge[e]
-        assert all(e in tc.listing[3 * t : 3 * t + 3] for t in row)
+    # cycle_join(20000, 4) has m = 100,004 > 2^16 edges
+    for g in (gnp_random(40, 0.3, seed=3), cycle_join(20_000, 4, seed=1)):
+        tc = triangle_counts(g)
+        ptr, tri = tc.incidence
+        for e in range(g.m):
+            row = list(tri[ptr[e] : ptr[e + 1]])
+            assert row == sorted(row) and len(row) == tc.per_edge[e]
+            assert all(e in tc.listing[3 * t : 3 * t + 3] for t in row)
+        # the stable argsort of the listing's edge ids, read as triangle ids
+        listing = np.frombuffer(tc.listing, np.int32)
+        assert list(tri) == (np.argsort(listing, kind="stable") // 3).tolist()
