@@ -9,6 +9,7 @@ are pure and safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -61,6 +62,18 @@ def _unpack(result, return_receipt):
 # -- clique chains ----------------------------------------------------------
 
 
+def _chain(name, k, s, r, notes=()):
+    """s copies of K_{k+2} then one K_r, consecutive cliques sharing one
+    vertex: n = s(k+1) + r and m = s * C(k+2, 2) + C(r, 2)."""
+    pairs = []
+    for c, size in enumerate([k + 2] * s + [r]):
+        base = c * (k + 1)
+        pairs.extend(combinations(range(base + 1, base + size + 1), 2))
+    n = s * (k + 1) + r
+    m = s * (k + 2) * (k + 1) // 2 + r * (r - 1) // 2
+    return _finish(name, from_edges(n, pairs), n, m, k, notes)
+
+
 def clique_chain(k: int, s: int, return_receipt: bool = False):
     """Chain of s copies of K_{k+2}, consecutive cliques sharing one vertex.
 
@@ -69,14 +82,7 @@ def clique_chain(k: int, s: int, return_receipt: bool = False):
     """
     if k < 1 or s < 1:
         raise ValidationError("clique_chain needs k >= 1 and s >= 1")
-    pairs = []
-    for i in range(s):
-        base = i * (k + 1)
-        pairs.extend(combinations(range(base + 1, base + k + 3), 2))
-    n = s * (k + 1) + 1
-    m = s * (k + 2) * (k + 1) // 2
-    g = from_edges(n, pairs)
-    return _unpack(_finish("clique_chain", g, n, m, k), return_receipt)
+    return _unpack(_chain("clique_chain", k, s - 1, k + 2), return_receipt)
 
 
 def clique_chain_remainder(k: int, n: int, return_receipt: bool = False):
@@ -91,18 +97,8 @@ def clique_chain_remainder(k: int, n: int, return_receipt: bool = False):
         r += k + 1
     s = (n - r) // (k + 1)
     assert k + 2 <= r < 2 * k + 3 and s >= 0
-    pairs = []
-    for i in range(s):
-        base = i * (k + 1)
-        pairs.extend(combinations(range(base + 1, base + k + 3), 2))
-    base = s * (k + 1)
-    pairs.extend(combinations(range(base + 1, base + r + 1), 2))
-    m = s * (k + 2) * (k + 1) // 2 + r * (r - 1) // 2
-    g = from_edges(n, pairs)
-    notes = [f"s={s}", f"r={r}"]
-    return _unpack(
-        _finish("clique_chain_remainder", g, n, m, k, notes), return_receipt
-    )
+    chain = _chain("clique_chain_remainder", k, s, r, [f"s={s}", f"r={r}"])
+    return _unpack(chain, return_receipt)
 
 
 # -- small critical trusses --------------------------------------------------
@@ -231,7 +227,9 @@ def suspension_ladder(k: int, n: int, return_receipt: bool = False):
 @dataclass(frozen=True)
 class FaceEmbedding:
     """Combinatorial torus embedding: closed face walks over vertices
-    1..vertex_count, every edge on exactly two distinct faces."""
+    1..vertex_count, every edge on exactly two distinct faces. The edge ->
+    face incidence and the skeleton adjacency are derived once, on first
+    use."""
 
     vertex_count: int
     faces: tuple[tuple[int, ...], ...]
@@ -240,17 +238,26 @@ class FaceEmbedding:
     def girth_sum(self) -> int:
         return sum(len(f) for f in self.faces)
 
-    def edge_face_incidence(self) -> dict[tuple[int, int], tuple[int, ...]]:
+    @cached_property
+    def edge_face_incidence(self) -> dict[tuple[int, int], list[int]]:
+        """Each skeleton edge (u, v), u < v, and the faces whose walks cross it."""
         inc: dict[tuple[int, int], list[int]] = {}
         for idx, walk in enumerate(self.faces):
-            for i, u in enumerate(walk):
-                v = walk[(i + 1) % len(walk)]
-                key = (u, v) if u < v else (v, u)
-                inc.setdefault(key, []).append(idx)
-        return {key: tuple(v) for key, v in inc.items()}
+            for u, v in zip(walk, walk[1:] + walk[:1]):
+                inc.setdefault((u, v) if u < v else (v, u), []).append(idx)
+        return inc
+
+    @cached_property
+    def adjacency(self) -> dict[int, set[int]]:
+        """Each skeleton vertex's neighbour set."""
+        adj: dict[int, set[int]] = {}
+        for u, v in self.edge_face_incidence:
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+        return adj
 
     def edge_set(self) -> list[tuple[int, int]]:
-        return sorted(self.edge_face_incidence())
+        return sorted(self.edge_face_incidence)
 
     def validate(self) -> None:
         """Raise ValidationError unless every structural invariant holds:
@@ -274,28 +281,21 @@ class FaceEmbedding:
             seen_vertices.update(walk)
         if len(seen_vertices) != self.vertex_count:
             raise ValidationError("embedding has vertices on no face")
-        inc = self.edge_face_incidence()
+        inc = self.edge_face_incidence
         for key, face_ids in inc.items():
             if len(face_ids) != 2 or face_ids[0] == face_ids[1]:
                 raise ValidationError(
-                    f"edge {key} lies on faces {face_ids}, need two distinct"
+                    f"edge {key} lies on faces {tuple(face_ids)}, need two distinct"
                 )
-        edges = list(inc)
-        if 2 * len(edges) != self.girth_sum:
+        if 2 * len(inc) != self.girth_sum:
             raise ValidationError("face lengths inconsistent with edge count")
-        if self.vertex_count - len(edges) + len(self.faces) != 0:
+        if self.vertex_count - len(inc) + len(self.faces) != 0:
             raise ValidationError("Euler count is not toroidal")
-        # connectivity of the skeleton
-        adj: dict[int, set[int]] = {v: set() for v in seen_vertices}
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        start = next(iter(seen_vertices))
-        reach = {start}
-        frontier = [start]
+        # connectivity of the skeleton; vertex 1 lies on a face
+        adj = self.adjacency
+        reach, frontier = {1}, [1]
         while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
+            for w in adj[frontier.pop()]:
                 if w not in reach:
                     reach.add(w)
                     frontier.append(w)
@@ -314,23 +314,16 @@ def _try_embedding(heights: list[tuple[int, int]], offset: int) -> FaceEmbedding
     h = sum(p for p, _ in heights)
     if h != sum(q for _, q in heights) or h < 3:
         return None
-    r = len(heights)
-    lefts = [0]
-    rights = [offset]
+    faces, left, right = [], 0, offset
     for p, q in heights:
-        lefts.append((lefts[-1] + p) % h)
-        rights.append((rights[-1] + q) % h)
-    faces = []
-    for c, (p, q) in enumerate(heights):
-        left_path = [(lefts[c] + i) % h for i in range(p + 1)]
-        right_path = [(rights[c] + i) % h for i in range(q + 1)]
-        walk = left_path + right_path[::-1]  # up the left, across, down the right
-        if len(set(walk)) != len(walk):
-            return None
-        faces.append(tuple(v + 1 for v in walk))
+        # up the left column, across, down the right, as vertices 1..h
+        walk = [(left + s) % h + 1 for s in range(p + 1)]
+        walk += [(right + s) % h + 1 for s in range(q, -1, -1)]
+        faces.append(tuple(walk))
+        left, right = left + p, right + q
     emb = FaceEmbedding(h, tuple(faces))
     try:
-        emb.validate()
+        emb.validate()  # rejects, among others, walks that revisit a vertex
     except ValidationError:
         return None
     # the face multiset must be exactly as requested
@@ -340,30 +333,38 @@ def _try_embedding(heights: list[tuple[int, int]], offset: int) -> FaceEmbedding
 
 
 def has_truss_safe_shape(emb: FaceEmbedding) -> bool:
-    """True when faces are induced cycles and the skeleton is triangle-free.
+    """True when the faces of a validated embedding are induced cycles and
+    the skeleton is triangle-free.
 
     Inserting face cliques into an embedding without these two properties
     yields a k-truss that is provably not critical: an in-face skeleton
     chord or a skeleton triangle adds spare triangles that let a proper
     edge subset (everything minus one face gadget) survive as a k-truss.
     """
-    edges = set(emb.edge_face_incidence())
-    adj: dict[int, set[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    for u, v in edges:
-        if adj[u] & adj[v]:
-            return False
+    adj = emb.adjacency
+    if any(adj[u] & adj[v] for u, v in emb.edge_face_incidence):
+        return False
     for walk in emb.faces:
-        boundary = set()
-        for i, u in enumerate(walk):
-            v = walk[(i + 1) % len(walk)]
-            boundary.add((u, v) if u < v else (v, u))
-        for a, b in combinations(sorted(walk), 2):
-            if (a, b) in edges and (a, b) not in boundary:
-                return False
+        # the walk's own edges give each of its vertices two neighbours on
+        # it; any more is a chord
+        on_face = set(walk)
+        if sum(len(adj[u] & on_face) for u in walk) > 2 * len(walk):
+            return False
     return True
+
+
+def _stackings(i: int, t: int):
+    """Cell stackings in search order, one at a time: a tall cell (p, t-2-p)
+    and its mirror with the i unit squares split between them, then the
+    two tall cells swapped."""
+    squares = [(1, 1)] * i
+    for p in range(1, t - 2):
+        tall_a = (p, t - 2 - p)
+        tall_b = (t - 2 - p, p)
+        for split in range(i + 1):
+            yield [tall_a] + squares[:split] + [tall_b] + squares[split:]
+            if tall_a != tall_b:
+                yield [tall_b] + squares[:split] + [tall_a] + squares[split:]
 
 
 def torus_embedding(i: int, t: int, return_receipt: bool = False, strict: bool = False):
@@ -372,9 +373,10 @@ def torus_embedding(i: int, t: int, return_receipt: bool = False, strict: bool =
     Realized as two concentric copies of one h-cycle joined by chord
     edges: unit cells give the square faces and taller (for odd t,
     left/right-unbalanced) cells give the two long faces. Candidate cell
-    stackings and twist offsets are searched deterministically and each
-    candidate is validated structurally, so an invalid embedding is never
-    returned; parameters with no simple realization raise InfeasibleError.
+    stackings and twist offsets are searched deterministically, one at a
+    time, and each candidate is validated structurally, so an invalid
+    embedding is never returned; parameters with no simple realization
+    raise InfeasibleError.
 
     ``strict`` additionally demands chord-free (induced) faces and a
     triangle-free skeleton, the shape needed for the derived k-truss to
@@ -382,22 +384,11 @@ def torus_embedding(i: int, t: int, return_receipt: bool = False, strict: bool =
     """
     if i < 0 or t < 4:
         raise ValidationError("torus_embedding needs i >= 0 and t >= 4")
-    squares = [(1, 1)] * i
     h = i + t - 2
-    orders = []
-    for p in range(1, t - 2):
-        tall_a = (p, t - 2 - p)
-        tall_b = (t - 2 - p, p)
-        for split in range(i + 1):
-            orders.append([tall_a] + squares[:split] + [tall_b] + squares[split:])
-            if tall_a != tall_b:
-                orders.append([tall_b] + squares[:split] + [tall_a] + squares[split:])
-    for heights in orders:
+    for heights in _stackings(i, t):
         for offset in range(2, h - 1):
             emb = _try_embedding(heights, offset)
-            if emb is None:
-                continue
-            if strict and not has_truss_safe_shape(emb):
+            if emb is None or strict and not has_truss_safe_shape(emb):
                 continue
             if return_receipt:
                 receipt = ConstructionReceipt(
@@ -405,7 +396,7 @@ def torus_embedding(i: int, t: int, return_receipt: bool = False, strict: bool =
                     h,
                     h + i + 2,
                     emb.vertex_count,
-                    len(emb.edge_set()),
+                    len(emb.edge_face_incidence),
                     ["embedding_validated"] + (["truss_safe_shape"] if strict else []),
                     [f"i={i}", f"t={t}", f"offset={offset}"],
                 )
@@ -433,14 +424,14 @@ def truss_from_embedding(emb: FaceEmbedding, k: int, return_receipt: bool = Fals
     h = emb.vertex_count
     r = len(emb.faces)
     g = emb.girth_sum
-    pairs = list(emb.edge_set())
+    pairs = emb.edge_set()
     nxt = h + 1
     for walk in emb.faces:
-        clique = list(range(nxt, nxt + k - 1))
+        clique = range(nxt, nxt + k - 1)
         nxt += k - 1
         pairs.extend(combinations(clique, 2))
-        for c in clique:
-            pairs.extend((min(c, w), max(c, w)) for w in walk)
+        # face vertices are at most h, below every fresh clique vertex
+        pairs.extend((w, c) for c in clique for w in walk)
     n = r * (k - 2) + g // 2
     m = r * (k - 1) * (k - 2) // 2 + (2 * (k - 1) + 1) * g // 2
     graph = from_edges(n, pairs)

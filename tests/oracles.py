@@ -6,12 +6,13 @@ triangles and the per-edge counts, dense adjacency products for the
 decomposition, the truss test and the greedy suspension, every edge
 subset for criticality, neighbour-set recounts for the maximal k-truss
 and the m single-edge peels, plain loops over the residual graph for the
-witness table and the peel's invariant check, and a search per level for
-the bound report. None of them calls the code path it checks. The
-expensive ones refuse inputs past their caps, raising ``CapExceeded`` or
-failing an assertion, rather than hang. ``vertex_counts`` is no
-reference: it reads per-vertex counts off the production listing, as
-the library keeps none.
+witness table and the peel's invariant check, a search per level for
+the bound report, and for the torus search a candidate list built up
+front and checked on a dense adjacency matrix. None of them calls the
+code path it checks. The expensive ones refuse inputs past their caps,
+raising ``CapExceeded`` or failing an assertion, rather than hang.
+``vertex_counts`` is no reference: it reads per-vertex counts off the
+production listing, as the library keeps none.
 """
 
 from collections import namedtuple
@@ -425,3 +426,62 @@ def level_bound_checks(G, tau):
             "component_min_degree", True, None, "no k-truss components (triangle-free)"
         )
     return [worst[name] for name in sorted(worst)]
+
+
+def eager_torus_search(i, t, strict):
+    """The torus search with its whole candidate list built first: for each
+    tall cell (p, t-2-p), p = 1..t-3, and each split of the i unit squares,
+    the stacking and, unless symmetric, its swap, each tried at twist
+    offsets 2..h-2. Returns the first valid candidate's faces and offset,
+    or None. Each face set is checked from scratch on a dense adjacency
+    matrix: simple walks of length >= 4 covering 1..h, every edge on two
+    distinct faces, V - E + F = 0, a connected skeleton and, if
+    ``strict``, chord-free faces and no skeleton triangle."""
+    squares = [(1, 1)] * i
+    h = i + t - 2
+    orders = []
+    for p in range(1, t - 2):
+        a, b = (p, t - 2 - p), (t - 2 - p, p)
+        for split in range(i + 1):
+            orders.append([a] + squares[:split] + [b] + squares[split:])
+            if a != b:
+                orders.append([b] + squares[:split] + [a] + squares[split:])
+    for heights in orders:
+        for offset in range(2, h - 1):
+            left, right, faces = 0, offset, []
+            for p, q in heights:  # up the left column, down the right
+                walk = [(left + s) % h for s in range(p + 1)]
+                walk += [(right + s) % h for s in range(q, -1, -1)]
+                faces.append(tuple(v + 1 for v in walk))
+                left, right = left + p, right + q
+            if _torus_faces_valid(faces, h, strict):
+                assert sorted(map(len, faces)) == sorted(p + q + 2 for p, q in heights)
+                return tuple(faces), offset
+    return None
+
+
+def _torus_faces_valid(faces, h, strict):
+    if any(len(f) < 4 or len(set(f)) < len(f) for f in faces):
+        return False
+    if set().union(*faces) != set(range(1, h + 1)):
+        return False
+    on_faces = {}
+    for idx, f in enumerate(faces):
+        for u, v in zip(f, f[1:] + f[:1]):
+            on_faces.setdefault(frozenset((u, v)), []).append(idx)
+    if any(len(ids) != 2 or ids[0] == ids[1] for ids in on_faces.values()):
+        return False
+    if h - len(on_faces) + len(faces) != 0:
+        return False
+    A = np.zeros((h, h))
+    for u, v in on_faces:
+        A[u - 1, v - 1] = A[v - 1, u - 1] = 1
+    if not np.linalg.matrix_power(A + np.eye(h), h).all():
+        return False  # disconnected skeleton
+    if not strict:
+        return True
+    for f in faces:
+        rows = np.subtract(f, 1)
+        if A[np.ix_(rows, rows)].sum() != 2 * len(f):
+            return False  # a chord
+    return np.trace(A @ A @ A) == 0

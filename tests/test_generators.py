@@ -24,7 +24,14 @@ from trusskit import (
 )
 from trusskit.generators import FaceEmbedding, has_truss_safe_shape
 
-from .oracles import adjacency, dense_suspend, edge_pairs, induced_by_vertices, vertex_counts
+from .oracles import (
+    adjacency,
+    dense_suspend,
+    eager_torus_search,
+    edge_pairs,
+    induced_by_vertices,
+    vertex_counts,
+)
 
 
 def complete(n):
@@ -210,7 +217,7 @@ def test_embedding_mixed_faces():
 def test_embedding_every_edge_two_distinct_faces():
     for i, t in [(6, 4), (4, 6), (3, 4), (8, 5)]:
         emb = torus_embedding(i, t)
-        for faces in emb.edge_face_incidence().values():
+        for faces in emb.edge_face_incidence.values():
             assert len(faces) == 2 and faces[0] != faces[1]
 
 
@@ -219,6 +226,23 @@ def test_embedding_infeasible_small():
         torus_embedding(0, 4)
     with pytest.raises(InfeasibleError):
         torus_embedding(2, 4)  # would need 8 distinct edges on 4 vertices
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_embedding_search_order_matches_the_eager_list(strict):
+    # the stackings come one at a time, in the order of the full list
+    found = 0
+    for i in range(13):
+        for t in range(4, 10):
+            want = eager_torus_search(i, t, strict)
+            if want is None:
+                with pytest.raises(InfeasibleError):
+                    torus_embedding(i, t, return_receipt=True, strict=strict)
+                continue
+            emb, receipt = torus_embedding(i, t, return_receipt=True, strict=strict)
+            assert (emb.faces, receipt.notes[-1]) == (want[0], f"offset={want[1]}"), (i, t)
+            found += 1
+    assert found == (41 if strict else 60)
 
 
 def test_embedding_validator_rejects_garbage():

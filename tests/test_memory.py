@@ -67,6 +67,20 @@ def test_peak_within_bytes_per_edge(graphs, graph, call):
     assert peak <= BYTES_PER_EDGE * G.m, f"{call} peaked at {peak / G.m:.0f} bytes per edge"
 
 
+def test_critical_truss_peak_within_bytes_per_edge():
+    # the torus route tries one cell stacking at a time: n = 25,604 at k = 4
+    # has 6,400 stackings of 6,401 cells each, 41M list slots if all were
+    # built up front
+    tracemalloc.start()
+    try:
+        G = critical_truss(4, 25604)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.m == 108817
+    assert peak <= BYTES_PER_EDGE * G.m, f"peaked at {peak / G.m:.0f} bytes per edge"
+
+
 @pytest.mark.parametrize(
     "make, k",
     [

@@ -144,6 +144,7 @@ def check_listing(G):
     ref = brute_force_triangles(G)
     tc = triangle_counts(G)
     assert tc.per_edge == ref.per_edge
+    assert triangle_counts(G, keep_listing=False).per_edge == tc.per_edge
     assert vertex_counts(G) == ref.per_vertex
     assert tc.total == ref.total
     tris = collect(G)
