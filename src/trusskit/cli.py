@@ -28,8 +28,6 @@ EXIT_INFEASIBLE = 5
 EXIT_RESOURCE = 6
 EXIT_IO = 7
 
-_ROWS = 1024  # rows formatted per write
-
 
 class _Parser(argparse.ArgumentParser):
     """Takes no abbreviated option; subparsers are made of the same class."""
@@ -113,15 +111,15 @@ def _read_graph(ns: argparse.Namespace) -> Graph:
     return graphs.parse_edge_list(data)
 
 
-def _write_edge_rows(G: Graph, values, out) -> None:
-    """Write a "u v value" TSV row per edge, in ``G.pair_order``, skipping
-    the edges whose value is None. Rows are formatted from one
-    ``label + "\\t"`` string per vertex, ``_ROWS`` rows per write."""
+def _write_edge_rows(G: Graph, codes, out, name=str) -> None:
+    """Write a "u v value" TSV row per edge e, in ``G.pair_order``, whose
+    value is ``name(codes[e])``, skipping the edges whose code is -1. The
+    values are formatted once each, for the codes 0..max(codes)."""
+    codes = np.asarray(codes, np.int64)
     lab = [label + "\t" for label in G.labels]
-    for lo in range(0, G.m, _ROWS):
-        block = G.pair_order[lo : lo + _ROWS]
-        rows = zip(block.tolist(), *G.ends[block].T.tolist())
-        out.write("".join([f"{lab[u]}{lab[v]}{values[e]}\n" for e, u, v in rows if values[e] is not None]))
+    values = [f"{name(code)}\n" for code in range(codes.max(initial=-1) + 1)]
+    rows = [(lab, G.ends[:, 0]), (lab, G.ends[:, 1]), (values, codes)]
+    out.writelines(graphs.text_rows(rows, G.pair_order))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -150,9 +148,9 @@ def _cmd_triangles(ns, G, out):
     lab = G.labels
     head, tail = _label_ranks(lab, " "), _label_ranks(lab, "")
     order = np.lexsort((tail[tris[:, 2]], head[tris[:, 1]], head[tris[:, 0]]))
-    for lo in range(0, len(order), _ROWS):
-        rows = tris[order[lo : lo + _ROWS]].tolist()
-        out.write("".join(f"{lab[a]} {lab[b]} {lab[c]}\n" for a, b, c in rows))
+    head, tail = [label + " " for label in lab], [label + "\n" for label in lab]
+    rows = [(head, tris[:, 0]), (head, tris[:, 1]), (tail, tris[:, 2])]
+    out.writelines(graphs.text_rows(rows, order))
     return EXIT_OK
 
 
@@ -178,17 +176,16 @@ def _cmd_truss(ns, G, out):
 def _cmd_truncated(ns, G, out):
     labels = peel.truss_decomposition(G, k_trunc=ns.k_trunc)
     mark = ("lower_bound", "exact")
-    _write_edge_rows(G, [f"{t}\t{mark[x]}" for t, x in zip(labels.tau, labels.exact)], out)
+    _write_edge_rows(G, labels.tau, out, lambda t: f"{t}\t{mark[t < ns.k_trunc]}")
     return EXIT_OK
 
 
 def _cmd_components(ns, G, out):
     labels = peel.truss_decomposition(G)
     comps = peel.k_truss_components(G, ns.k, labels)
-    comp_of = [None] * G.m
+    comp_of = np.full(G.m, -1)
     for cid, edges in enumerate(comps):
-        for e in edges:
-            comp_of[e] = cid
+        comp_of[list(edges)] = cid
     _write_edge_rows(G, comp_of, out)
     return EXIT_OK
 

@@ -5,17 +5,19 @@ sum of vertex ids is zero only for the empty set (the witness tables rely
 on this). Original input labels are kept alongside the internal ids so
 edge lists round-trip through the serializer.
 
-The parser splits ASCII text with one ``bytes.split()`` and numbers the
-labels through one label map; text it cannot read that way, or rejects,
-goes through the line walk, which names the offending line.
+The parser reads ASCII text of canonical decimal labels with one numpy
+read and numbers them through one table indexed by value; other ASCII text
+it splits with one ``bytes.split()`` and numbers through one label map.
+Text it cannot read either way, or rejects, goes through the line walk,
+which names the offending line. ``text_rows`` formats every row output,
+the serializer's included, from small string tables and int columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, compress
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,6 +58,33 @@ def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
         step = np.argsort(digits, kind="stable")
         order = step if order is None else order[step]
     return np.arange(len(keys)) if order is None else order
+
+
+_ROWS = 1024  # rows text_rows formats per piece
+
+
+def text_rows(
+    columns: Sequence[tuple[Sequence[str], np.ndarray]], order: np.ndarray
+) -> Iterator[str]:
+    """Text of the rows whose column j reads ``table[index[r]]`` for the
+    j-th pair ``(table, index)`` of ``columns``: string tables that carry
+    their own separators, and int arrays of one length. Rows r come in
+    ``order``, ``_ROWS`` to a piece, and a row with an index of -1 is
+    skipped. A piece gathers its bytes from one buffer of the encoded
+    tables: piece lengths, their offsets, one repeat."""
+    enc = [s.encode(errors="surrogatepass") for table, _ in columns for s in table]
+    buf = np.frombuffer(b"".join(enc), np.uint8)
+    size = np.fromiter(map(len, enc), np.int64, len(enc))
+    start = np.cumsum(size) - size
+    base = np.cumsum([0, *(len(table) for table, _ in columns[:-1])])  # each table's first entry
+    for lo in range(0, len(order), _ROWS):
+        rows = order[lo : lo + _ROWS]
+        piece = np.stack([at[rows] for _, at in columns], axis=1) + base
+        piece = piece[(piece >= base).all(axis=1)].ravel()
+        width = size[piece]
+        shift = start[piece] - np.cumsum(width) + width  # a piece's source minus its place
+        text = buf[np.repeat(shift, width) + np.arange(width.sum())].tobytes()
+        yield text.decode(errors="surrogatepass")
 
 
 class Graph:
@@ -134,8 +163,9 @@ class Graph:
 
     def serialize(self) -> str:
         """Edge-list text, one "u v" line per edge sorted by (min, max) id."""
-        lab = self.labels
-        return "".join([f"{lab[u]} {lab[v]}\n" for u, v in self.ends[self.pair_order].tolist()])
+        head, tail = [s + " " for s in self.labels], [s + "\n" for s in self.labels]
+        rows = [(head, self.ends[:, 0]), (tail, self.ends[:, 1])]
+        return "".join(text_rows(rows, self.pair_order))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -164,6 +194,7 @@ _BYTE_CLASS = np.zeros(256, np.uint8)
 _BYTE_CLASS[[9, 32]] = 1
 _BYTE_CLASS[[10, 13]] = 2
 _BYTE_CLASS[[11, 12, 28, 29, 30, 31, *range(128, 256)]] = 3
+_SPREAD = 4  # decimal labels up to this many times the token count index a table
 
 
 def parse_edge_list(text: str | bytes) -> Graph:
@@ -172,7 +203,8 @@ def parse_edge_list(text: str | bytes) -> Graph:
     Lines starting with '#' and blank lines are skipped. Vertex labels are
     arbitrary tokens, mapped to ids 1..n in first-appearance order.
     Self-loops and duplicate edges are rejected, and so is text that is not
-    UTF-8, each with its line number. ASCII text is split in one pass; the
+    UTF-8, each with its line number. ASCII text is read in one pass, by
+    numpy if its labels are canonical decimals, else by one split; the
     line walk reads the rest and names the line of any error.
     """
     data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else bytes(text)
@@ -180,11 +212,11 @@ def parse_edge_list(text: str | bytes) -> Graph:
 
 
 def _split_parse(data: bytes) -> Graph | None:
-    """The Graph of ``data`` read in one split, or None if it holds a byte
+    """The Graph of ``data`` read in one pass, or None if it holds a byte
     of class 3, a line without two labels that is neither blank nor headed
     by a label starting with '#', a self-loop or a duplicate edge."""
     cls = _BYTE_CLASS[np.frombuffer(data, np.uint8)]
-    starts = np.flatnonzero(np.diff((cls == 0).view(np.int8), prepend=0) == 1)
+    starts = np.flatnonzero(np.diff(cls == 0, prepend=False))[::2]  # a label's start, then its end
     line = np.searchsorted(np.flatnonzero(cls == 2), starts)  # of each label
     keep = None
     if b"#" in data:  # drop the comment lines, those a label starting with '#' heads
@@ -193,16 +225,43 @@ def _split_parse(data: bytes) -> Graph | None:
         line = line[keep]
     if cls.max(initial=0) == 3 or not np.isin(np.bincount(line), (0, 2)).all():
         return None
+    count, size = len(starts), len(cls) - np.count_nonzero(cls)
     del cls, starts, line
-    tokens = data.split() if keep is None else list(compress(data.split(), keep.tolist()))
-    ids = {label: i for i, label in enumerate(dict.fromkeys(tokens), start=1)}
-    flat = np.fromiter(map(ids.__getitem__, tokens), np.int64, len(tokens))
-    labels = [label.decode() for label in ids]
-    del tokens, ids
+    decimal = _decimal_ids(data, count, size) if keep is None else None
+    if decimal:
+        labels, flat = decimal
+    else:
+        tokens = data.split() if keep is None else list(compress(data.split(), keep.tolist()))
+        ids = {label: i for i, label in enumerate(dict.fromkeys(tokens), start=1)}
+        flat = np.fromiter(map(ids.__getitem__, tokens), np.int64, len(tokens))
+        labels = [label.decode() for label in ids]
+        del tokens, ids
     try:
         return Graph(labels, flat.reshape(-1, 2))
     except ValidationError:
         return None
+
+
+def _decimal_ids(data: bytes, count: int, size: int) -> tuple[list[int], np.ndarray] | None:
+    """The labels of ``data``, in first-appearance order, and each token's
+    id, if its ``count`` tokens, ``size`` bytes in all, are canonical
+    decimals (no sign, no leading zero) below ``_SPREAD * count``; else
+    None. One numpy read, then one table indexed by value."""
+    try:
+        values = np.fromstring(data, np.int64, sep=" ")
+    except ValueError:  # a non-decimal token; older numpy reads short instead
+        return None
+    top = int(values.max(initial=-1))
+    if len(values) != count or top < 0 or values.min() < 0 or top >= min(_SPREAD * count, 10**18):
+        return None
+    # a sign, a leading zero or any other byte leaves fewer digits than label bytes
+    if count + sum(np.count_nonzero(values >= 10**k) for k in range(1, len(str(top)))) != size:
+        return None
+    table, at = np.empty(top + 1, np.int64), np.arange(count)
+    table[values[::-1]] = at[::-1]  # each value's first position: the last write wins
+    labels = values[table[values] == at]
+    table[labels] = np.arange(1, len(labels) + 1)
+    return labels.tolist(), table[values]
 
 
 def _walk_lines(text: str | bytes) -> Graph:
@@ -255,6 +314,7 @@ class DegeneracyReport:
 def degeneracy(G: Graph) -> DegeneracyReport:
     """Exact degeneracy via a bucket queue, plus the elimination order
     realizing it and the average degeneracy."""
+    from fractions import Fraction  # with decimal behind it: only its callers load it
     n = G.n
     if n == 0:
         return DegeneracyReport(0, [], Fraction(0))

@@ -20,7 +20,6 @@ import os
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -62,8 +61,9 @@ class TriangleCounts:
         """Edge -> triangle CSR ``(ptr, tri)``: the triangles through edge
         e are ``tri[ptr[e]:ptr[e + 1]]``, ascending. A counting sort of the
         listing's edge ids, radix-sorted and placed a block at a time."""
-        ptr = array("q", accumulate(self.per_edge, initial=0))
         ids, tri = np.frombuffer(self.listing, np.int32), array("i", [0]) * len(self.listing)
+        ptr = array("q", [0]) * (len(self.per_edge) + 1)
+        np.cumsum(np.bincount(ids, minlength=len(ptr) - 1), out=np.frombuffer(ptr, np.int64)[1:])
         rows, fill = np.frombuffer(tri, np.int32), np.array(ptr[:-1])  # each row's next slot
         for lo in range(0, len(ids), _WEDGE_BLOCK):
             order = stable_order(ids[lo : lo + _WEDGE_BLOCK], len(fill))
@@ -81,7 +81,7 @@ def _footprint(G: Graph, kept: int) -> int:
     per edge, a block's temporaries, and per triangle (29 of the 56 bytes)
     the listing and the incidence's rows, three int32 ids each, the peel's
     alive byte and the critical trials' int32 kill journal."""
-    return 64 * (G.n + 1) + 80 * G.m + 140 * _WEDGE_BLOCK + 56 * kept + 65536
+    return 64 * (G.n + 1) + 80 * G.m + 160 * _WEDGE_BLOCK + 56 * kept + 65536
 
 
 def _reserve(G: Graph, kept: int) -> int:

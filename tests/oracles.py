@@ -7,8 +7,9 @@ decomposition, the truss test and the greedy suspension, every edge
 subset for criticality, neighbour-set recounts for the maximal k-truss
 and the m single-edge peels, plain loops over the residual graph for the
 witness table and the peel's invariant check, a search per level for
-the bound report, and for the torus search a candidate list built up
-front and checked on a dense adjacency matrix. None of them calls the
+the bound report, for the torus search a candidate list built up front
+and checked on a dense adjacency matrix, and one f-string per row for the
+row writers. None of them calls the
 code path it checks. The expensive ones refuse inputs past their caps,
 raising ``CapExceeded`` or failing an assertion, rather than hang.
 ``vertex_counts`` is no reference: it reads per-vertex counts off the
@@ -114,6 +115,28 @@ def triple_scan_triangles(G):
                 if (a, c) in eid and (b, c) in eid:
                     out.append((a, b, c))
     return out
+
+
+def edge_rows_text(G, values):
+    """The "u v value" rows the per-edge subcommands write, in pair order:
+    one f-string per edge, skipping the edges whose value is None."""
+    lab = [label + "\t" for label in G.labels]
+    rows = zip(G.pair_order.tolist(), *G.ends[G.pair_order].T.tolist())
+    return "".join(f"{lab[u]}{lab[v]}{values[e]}\n" for e, u, v in rows if values[e] is not None)
+
+
+def triangle_rows_text(G):
+    """The "a b c" rows of ``triangles``, from the all-triples scan, sorted
+    as the label tuples (a + " ", b + " ", c)."""
+    lab = G.labels
+    rows = sorted(triple_scan_triangles(G), key=lambda t: (lab[t[0]] + " ", lab[t[1]] + " ", lab[t[2]]))
+    return "".join(f"{lab[a]} {lab[b]} {lab[c]}\n" for a, b, c in rows)
+
+
+def serialized_text(G):
+    """G's edge-list text, one "u v" f-string per edge in pair order."""
+    lab = G.labels
+    return "".join(f"{lab[u]} {lab[v]}\n" for u, v in G.ends[G.pair_order].tolist())
 
 
 BruteCounts = namedtuple("BruteCounts", "per_edge per_vertex total")

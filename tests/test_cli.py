@@ -18,9 +18,11 @@ from trusskit import (
     from_edges,
     gnp_random,
     init_witness,
+    k_truss_components,
     parse_edge_list,
     triangle_counts,
     truncated_decomposition,
+    truss_decomposition,
     witness,
 )
 from trusskit.cli import (
@@ -36,7 +38,14 @@ from trusskit.cli import (
 from trusskit.peel import _truncation_cap
 from trusskit.witness import DEFAULT_SEED
 
-from .oracles import adjacency, edge_pairs, triple_scan_triangles
+from .oracles import (
+    adjacency,
+    brute_force_triangles,
+    edge_rows_text,
+    serialized_text,
+    triangle_rows_text,
+    triple_scan_triangles,
+)
 from .test_graphs import PARSE_ERRORS
 from .test_witness import skewed
 
@@ -134,12 +143,7 @@ TRUNC_GRAPHS = {
 def truncated_rows(g, labels):
     """The rows ``truncated-truss`` writes for ``labels``."""
     mark = ("lower_bound", "exact")
-    lab, edges = g.labels, edge_pairs(g)
-    order = sorted(range(g.m), key=edges.__getitem__)
-    return "".join(
-        f"{lab[edges[e][0]]}\t{lab[edges[e][1]]}\t{labels.tau[e]}\t{mark[labels.exact[e]]}\n"
-        for e in order
-    )
+    return edge_rows_text(g, [f"{t}\t{mark[x]}" for t, x in zip(labels.tau, labels.exact)])
 
 
 @pytest.mark.parametrize("name", sorted(TRUNC_GRAPHS))
@@ -208,6 +212,41 @@ def test_dense_truncated_refused_where_the_witness_fits(tmp_path, monkeypatch, c
     assert sorted(os.listdir(tmp_path)) == ["in.txt"]
     labels = truncated_decomposition(g, WitnessConfig(k_trunc))
     assert labels.tau == [k_trunc] * g.m and not any(labels.exact)
+
+
+WRITER_GRAPHS = {
+    "non-ascii": lambda: parse_edge_list("é ü\nü 日本\n日本 é\né a\na ü\nz y\n"),
+    "k20": lambda: from_edges(20, combinations(range(1, 21), 2)),  # 1,140 triangle rows
+    "skewed": lambda: skewed(200, 2500, seed=5),  # 2,500 rows: two full pieces and a part
+    "empty": lambda: from_edges(0, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_GRAPHS))
+def test_row_writers_match_the_f_string_rows(tmp_path, name):
+    # every row output against one f-string per row; components at k = 3
+    # and 4 skip the edges below k
+    g = WRITER_GRAPHS[name]()
+    text = g.serialize()
+    assert text == serialized_text(g)
+    g = parse_edge_list(text)  # the graph the commands read, with its edge ids
+    tau = truss_decomposition(g).tau
+    want = {
+        ("truss",): edge_rows_text(g, tau),
+        ("triangles",): triangle_rows_text(g),
+        ("triangles", "--counts"): edge_rows_text(g, brute_force_triangles(g).per_edge),
+    }
+    for k in (2, 3):
+        labels = truss_decomposition(g, k_trunc=k)
+        want["truncated-truss", "--k-trunc", str(k)] = truncated_rows(g, labels)
+    for k in (3, 4):
+        comp_of = [None] * g.m
+        for cid, edges in enumerate(k_truss_components(g, k, truss_decomposition(g))):
+            for e in edges:
+                comp_of[e] = cid
+        want["components", "--k", str(k)] = edge_rows_text(g, comp_of)
+    for args, rows in want.items():
+        assert run_cli(list(args), tmp_path, text) == (EXIT_OK, rows), args
 
 
 def test_components(tmp_path):
@@ -537,13 +576,15 @@ def test_module_entry_point(tmp_path):
 
 
 # runs ``python -m trusskit`` with the arguments after -c, then names the
-# package modules it loaded on stderr
+# package modules it loaded on stderr, and ``fractions`` (with ``decimal``
+# behind it) if only the degeneracy report loaded it
 LOADED_AFTER_RUN = (
     "import runpy, sys\n"
     "try:\n"
     "    runpy.run_module('trusskit', run_name='__main__', alter_sys=True)\n"
     "finally:\n"
-    "    print(*sorted(m for m in sys.modules if m.startswith('trusskit.')), file=sys.stderr)\n"
+    "    loaded = (m for m in sys.modules if m.startswith('trusskit.') or m == 'fractions')\n"
+    "    print(*sorted(loaded), file=sys.stderr)\n"
 )
 
 
@@ -553,11 +594,13 @@ LOADED_AFTER_RUN = (
         (["truss"], "trusskit.cli trusskit.graphs trusskit.peel trusskit.triangles"),
         (["verify", "critical", "--k", "3"],
          "trusskit.checks trusskit.cli trusskit.graphs trusskit.peel trusskit.triangles"),
+        (["stats"], "fractions trusskit.cli trusskit.graphs trusskit.peel trusskit.triangles"),
     ],
-    ids=["truss", "verify-critical"],
+    ids=["truss", "verify-critical", "stats"],
 )
 def test_subcommand_loads_only_what_it_runs(tmp_path, args, loaded):
-    # neither the witness engine nor the generators, and truss no checks
+    # neither the witness engine nor the generators, truss no checks, and
+    # only stats the exact fractions
     want = run_cli(args, tmp_path, k5_text())
     proc = subprocess.run(
         [sys.executable, "-c", LOADED_AFTER_RUN, "-i", str(tmp_path / "in.txt"), *args],

@@ -16,7 +16,7 @@ from trusskit import (
     from_edges,
     parse_edge_list,
 )
-from trusskit.graphs import _split_parse, _walk_lines, stable_order
+from trusskit.graphs import _SPREAD, _decimal_ids, _split_parse, _walk_lines, stable_order
 
 from .oracles import adjacency, edge_pairs, induced_by_edges, induced_by_vertices
 from .strategies import edge_texts, small_graphs
@@ -98,25 +98,31 @@ def test_parse_crlf_and_indented_comment():
 
 
 LABELS = st.sampled_from([*"abcdefgh", "10", "é"])
+# canonical decimals take the numpy read; the rest, or values over its
+# table, the split. "9" * 19 and the 20-digit tokens pass 2**63, where
+# numpy clamps to its largest int64
+DECIMALS = st.integers(0, 12).map(str)
+ODD_DECIMALS = st.sampled_from(["00", "01", "007", "+1", "-1", "-0", "+0", "a", "1000", "1" * 18,
+                                "9" * 18, "1" * 19, "9" * 19, "1" * 20, "9" * 20])
 BLANKS = st.sampled_from(["", " ", "\t", "  \t"])
 # at most two per text, so that many texts can take the split path
 DEFECTS = [None] * 5 + ["#", "\x0b", "\x0c", "\x1c", "loop", "repeat", "one", "three"]
 
 
 @st.composite
-def messy_texts(draw):
-    """Edge-list text over distinct pairs, with blank lines, tabs, CRLF and
-    CR line ends and maybe no final newline, plus at most two lines with a
-    comment, a line end that str.splitlines takes and bytes.split does not
-    ("\x0b", "\x0c", "\x1c"), a self-loop, a repeated pair in either
-    order, or one or three tokens."""
-    pairs = draw(st.lists(st.tuples(LABELS, LABELS).filter(lambda p: p[0] != p[1]),
+def messy_texts(draw, labels=LABELS):
+    """Edge-list text over distinct pairs of ``labels``, with blank lines,
+    tabs, CRLF and CR line ends and maybe no final newline, plus at most
+    two lines with a comment, a line end that str.splitlines takes and
+    bytes.split does not ("\x0b", "\x0c", "\x1c"), a self-loop, a
+    repeated pair in either order, or one or three tokens."""
+    pairs = draw(st.lists(st.tuples(labels, labels).filter(lambda p: p[0] != p[1]),
                           unique_by=frozenset, max_size=8))
     sep = st.sampled_from([" ", "\t", " \t "])
     lines = [f"{draw(BLANKS)}{u}{draw(sep)}{v}{draw(BLANKS)}" for u, v in pairs]
     lines += [draw(BLANKS) for _ in range(draw(st.integers(0, 2)))]
     for defect in draw(st.lists(st.sampled_from(DEFECTS), max_size=2)):
-        u, v = draw(LABELS), draw(LABELS)
+        u, v = draw(labels), draw(labels)
         if pairs and draw(st.booleans()):
             v, u = draw(st.sampled_from(pairs))
         if defect is not None:
@@ -137,13 +143,17 @@ def parse_outcome(parse, text):
     return G.labels, G.ends.tolist()
 
 
-@given(messy_texts())
+@given(messy_texts() | messy_texts(DECIMALS) | messy_texts(DECIMALS | ODD_DECIMALS))
 @example("a b c\nd e\n\nf\n")  # an even label count over uneven lines
 @example("a\r\nb c d\r\n")
 @example("# Directed graph (each unordered pair of nodes is saved once): x.txt\n"
          "# Nodes: 3 Edges: 2\n# FromNodeId\tToNodeId\n1\t2\n3\t1\n")  # SNAP header
 @example("#\r\n  # a b c\na b#c\n#d e\nb#c #f\n")  # '#' after a line's first label is a label byte
 @example("# a\nb\n")
+@example("1 01\n")  # two labels, no self-loop
+@example("1 2\n3 1\n2 1\n")  # one pair twice
+@example("0 1\n1 2\n2 0\n")
+@example("0 9\n")  # over the value table of two tokens
 def test_split_parse_agrees_with_line_walk(text):
     want = parse_outcome(_walk_lines, text)
     assert parse_outcome(parse_edge_list, text) == want
@@ -153,6 +163,14 @@ def test_split_parse_agrees_with_line_walk(text):
     plain = text.isascii() and not any(c in text for c in "\x0b\x0c\x1c")
     if plain and not isinstance(want[0], type):
         assert _split_parse(text.encode()) is not None
+    # the numpy read accepts a text exactly when all its labels are
+    # canonical decimals below its table bound
+    tokens = text.split()
+    canonical = all(t.isdigit() and t == str(int(t)) for t in tokens)
+    canonical = canonical and 0 <= max(map(int, tokens), default=-1) < _SPREAD * len(tokens)
+    if plain:
+        read = _decimal_ids(text.encode(), len(tokens), sum(map(len, tokens)))
+        assert (read is not None) == canonical
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])

@@ -5,6 +5,7 @@ edge of its input, which no dense n x n step can meet at these sizes: one
 float64 adjacency matrix on 5,000 vertices is 200 MB, over 13 kB per edge.
 """
 
+import os
 import tracemalloc
 from itertools import combinations
 
@@ -24,6 +25,8 @@ from trusskit import (
     triangle_counts,
     truss_decomposition,
 )
+from trusskit.cli import _write_edge_rows
+from trusskit.triangles import _footprint
 
 BYTES_PER_EDGE = 2048
 # parsing holds the text's tokens, one label map and the Graph's arrays,
@@ -34,6 +37,10 @@ PARSE_BYTES_PER_EDGE = 320
 # the graphs below. One Python tuple per edge would take 64 more, and so
 # would the CSR, built only on first use
 RETAINED_BYTES_PER_EDGE = 72
+# the row writer holds per vertex its label tables, as strings and encoded,
+# and per piece of rows their index columns and bytes, whatever m is
+WRITER_BYTES_PER_VERTEX = 400
+WRITER_PIECE_BYTES = 2**19
 
 GRAPHS = {
     "critical_2truss(5000)": (lambda: critical_2truss(5000), 2),
@@ -173,3 +180,37 @@ def test_edge_index_agrees_with_ends(build):
         slots = range(indptr[v], indptr[v + 1])
         assert [nbr[s] for s in slots] == sorted(w for w in G.vertices if G.edge_id(v, w) is not None)
         assert all(sorted(G.ends[slot_edge[s]]) == sorted((v, nbr[s])) for s in slots)
+
+
+@pytest.mark.parametrize("n", [60, 120, 300])
+def test_count_only_peak_within_reservation(n):
+    # count-only callers reserve the fixed part alone, which must cover a
+    # block's temporaries: a clique closes every wedge of a block
+    G = from_edges(n, combinations(range(1, n + 1), 2))
+    tracemalloc.start()
+    try:
+        triangle_counts(G, keep_listing=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _footprint(G, 0), f"peak {peak} over the reservation {_footprint(G, 0)}"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: from_edges(300, combinations(range(1, 301), 2)), *(make for make, _ in GRAPHS.values())],
+    ids=["K_300", *GRAPHS],
+)
+def test_row_writer_peak_does_not_grow_with_m(make):
+    # K_300 has 150 edges per vertex: one m-long int64 column is 359 kB
+    G = make()
+    codes = np.arange(G.m) % 7
+    with open(os.devnull, "w") as out:
+        tracemalloc.start()
+        try:
+            _write_edge_rows(G, codes, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    bound = WRITER_BYTES_PER_VERTEX * (G.n + 1) + WRITER_PIECE_BYTES
+    assert peak <= bound, f"writer peaked at {peak} bytes, over {bound} (n={G.n}, m={G.m})"
