@@ -15,6 +15,7 @@ the serializer's included, from small string tables and int columns.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
@@ -71,12 +72,18 @@ def text_rows(
     their own separators, and int arrays of one length. Rows r come in
     ``order``, ``_ROWS`` to a piece, and a row with an index of -1 is
     skipped. A piece gathers its bytes from one buffer of the encoded
-    tables: piece lengths, their offsets, one repeat."""
-    enc = [s.encode(errors="surrogatepass") for table, _ in columns for s in table]
+    tables, each distinct table once: piece lengths, their offsets, one
+    repeat."""
+    enc, first = [], {}  # the encoded entries, and each table's first one
+    for table, _ in columns:
+        if id(table) not in first:
+            first[id(table)] = len(enc)
+            enc += [s.encode(errors="surrogatepass") for s in table]
     buf = np.frombuffer(b"".join(enc), np.uint8)
     size = np.fromiter(map(len, enc), np.int64, len(enc))
     start = np.cumsum(size) - size
-    base = np.cumsum([0, *(len(table) for table, _ in columns[:-1])])  # each table's first entry
+    base = np.array([first[id(table)] for table, _ in columns])
+    del enc
     for lo in range(0, len(order), _ROWS):
         rows = order[lo : lo + _ROWS]
         piece = np.stack([at[rows] for _, at in columns], axis=1) + base
@@ -247,19 +254,25 @@ def _decimal_ids(data: bytes, count: int, size: int) -> tuple[list[int], np.ndar
     id, if its ``count`` tokens, ``size`` bytes in all, are canonical
     decimals (no sign, no leading zero) below ``_SPREAD * count``; else
     None. One numpy read, then one table indexed by value."""
-    try:
-        values = np.fromstring(data, np.int64, sep=" ")
-    except ValueError:  # a non-decimal token; older numpy reads short instead
-        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(data, np.int64, sep=" ")
+        except (ValueError, DeprecationWarning):  # a non-decimal token; older numpy warns
+            return None
     top = int(values.max(initial=-1))
-    if len(values) != count or top < 0 or values.min() < 0 or top >= min(_SPREAD * count, 10**18):
+    if len(values) != count or top < 0 or values.min() < 0 or top >= _SPREAD * count:
         return None
     # a sign, a leading zero or any other byte leaves fewer digits than label bytes
     if count + sum(np.count_nonzero(values >= 10**k) for k in range(1, len(str(top)))) != size:
         return None
     table, at = np.empty(top + 1, np.int64), np.arange(count)
     table[values[::-1]] = at[::-1]  # each value's first position: the last write wins
-    labels = values[table[values] == at]
+    first = table[values]
+    if (first > at).any():  # numpy promises no order for repeated indices
+        return None
+    labels = values[first == at]
+    del first
     table[labels] = np.arange(1, len(labels) + 1)
     return labels.tolist(), table[values]
 

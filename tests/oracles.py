@@ -118,11 +118,14 @@ def triple_scan_triangles(G):
 
 
 def edge_rows_text(G, values):
-    """The "u v value" rows the per-edge subcommands write, in pair order:
-    one f-string per edge, skipping the edges whose value is None."""
-    lab = [label + "\t" for label in G.labels]
-    rows = zip(G.pair_order.tolist(), *G.ends[G.pair_order].T.tolist())
-    return "".join(f"{lab[u]}{lab[v]}{values[e]}\n" for e, u, v in rows if values[e] is not None)
+    """The "u v value" rows the per-edge subcommands write, sorted by
+    endpoint pair here: one f-string per edge, skipping the edges whose
+    value is None."""
+    lab, edges = G.labels, edge_pairs(G)
+    order = sorted(range(G.m), key=edges.__getitem__)
+    return "".join(
+        f"{lab[edges[e][0]]}\t{lab[edges[e][1]]}\t{values[e]}\n" for e in order if values[e] is not None
+    )
 
 
 def triangle_rows_text(G):
@@ -134,9 +137,9 @@ def triangle_rows_text(G):
 
 
 def serialized_text(G):
-    """G's edge-list text, one "u v" f-string per edge in pair order."""
+    """G's edge-list text, one "u v" f-string per edge, the pairs sorted here."""
     lab = G.labels
-    return "".join(f"{lab[u]} {lab[v]}\n" for u, v in G.ends[G.pair_order].tolist())
+    return "".join(f"{lab[u]} {lab[v]}\n" for u, v in sorted(edge_pairs(G)))
 
 
 BruteCounts = namedtuple("BruteCounts", "per_edge per_vertex total")

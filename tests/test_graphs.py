@@ -1,6 +1,7 @@
 """Graph representation, parsing, degeneracy, and the subgraph helpers of
 the tests."""
 
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -171,6 +172,20 @@ def test_split_parse_agrees_with_line_walk(text):
     if plain:
         read = _decimal_ids(text.encode(), len(tokens), sum(map(len, tokens)))
         assert (read is not None) == canonical
+
+
+def test_decimal_read_declines_a_warned_short_read(monkeypatch):
+    # older numpy warns and reads short at a non-decimal token rather
+    # than raise; the split path takes the text, whatever the warning filters
+    def warn_short(data, dtype, sep):
+        warnings.warn("string could not be read to its end", DeprecationWarning)
+        return np.array([1], dtype)
+
+    monkeypatch.setattr(np, "fromstring", warn_short)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _decimal_ids(b"1 a\n", 2, 2) is None
+        assert parse_edge_list("1 a\n").labels == ("", "1", "a")
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])

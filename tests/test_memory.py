@@ -37,9 +37,9 @@ PARSE_BYTES_PER_EDGE = 320
 # the graphs below. One Python tuple per edge would take 64 more, and so
 # would the CSR, built only on first use
 RETAINED_BYTES_PER_EDGE = 72
-# the row writer holds per vertex its label tables, as strings and encoded,
-# and per piece of rows their index columns and bytes, whatever m is
-WRITER_BYTES_PER_VERTEX = 400
+# the row writer holds per vertex its label tables, as strings and encoded
+# once each, and per piece of rows their index columns and bytes, whatever m is
+WRITER_BYTES_PER_VERTEX = 200
 WRITER_PIECE_BYTES = 2**19
 
 GRAPHS = {
