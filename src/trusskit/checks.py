@@ -20,7 +20,7 @@ import numpy as np
 
 from . import graphs as gr
 from .graphs import Graph, ValidationError
-from .peel import TrussLabels, _critical_trials, _find
+from .peel import TrussLabels, _critical_trials
 from .triangles import _blocks, triangle_counts
 
 
@@ -149,7 +149,8 @@ def bound_report(G: Graph, labels: TrussLabels) -> BoundReport:
     tris_at: list[list[np.ndarray]] = [[] for _ in range(max_tau + 1)]
     tau_arr = np.asarray(tau)
     for vertices, edges in _blocks(G):
-        level = tau_arr[edges].min(axis=1)
+        x, y, z = tau_arr[edges].T
+        level = np.minimum(np.minimum(x, y), z)
         for lv in np.flatnonzero(np.bincount(level)).tolist():
             tris_at[lv].append(vertices[level == lv])
     ends = G.ends.tolist()
@@ -221,3 +222,11 @@ def bound_report(G: Graph, labels: TrussLabels) -> BoundReport:
         )
     report.checks.extend(worst[name] for name in sorted(worst))
     return report
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x

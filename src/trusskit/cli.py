@@ -182,11 +182,7 @@ def _cmd_truncated(ns, G, out):
 
 def _cmd_components(ns, G, out):
     labels = peel.truss_decomposition(G)
-    comps = peel.k_truss_components(G, ns.k, labels)
-    comp_of = np.full(G.m, -1)
-    for cid, edges in enumerate(comps):
-        comp_of[list(edges)] = cid
-    _write_edge_rows(G, comp_of, out)
+    _write_edge_rows(G, peel.component_ids(G, ns.k, labels), out)
     return EXIT_OK
 
 

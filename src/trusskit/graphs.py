@@ -87,7 +87,8 @@ def text_rows(
     for lo in range(0, len(order), _ROWS):
         rows = order[lo : lo + _ROWS]
         piece = np.stack([at[rows] for _, at in columns], axis=1) + base
-        piece = piece[(piece >= base).all(axis=1)].ravel()
+        keep = np.logical_and.reduce([piece[:, j] >= b for j, b in enumerate(base)])
+        piece = piece[keep].ravel()
         width = size[piece]
         shift = start[piece] - np.cumsum(width) + width  # a piece's source minus its place
         text = buf[np.repeat(shift, width) + np.arange(width.sum())].tobytes()
@@ -114,7 +115,7 @@ class Graph:
         if not isinstance(pairs, np.ndarray):
             pairs = np.fromiter(chain.from_iterable(pairs), np.int64)
         raw = pairs.astype(np.int64, copy=False).reshape(-1, 2)
-        lo, hi = raw.min(axis=1), raw.max(axis=1)
+        lo, hi = np.minimum(raw[:, 0], raw[:, 1]), np.maximum(raw[:, 0], raw[:, 1])
         keys = lo * (n + 1) + hi
         # keys out of range sort by their low bits: any repeat hidden follows a bad row
         order = stable_order(keys, (n + 1) ** 2)

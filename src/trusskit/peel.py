@@ -12,7 +12,8 @@ fixed k, read the edge -> triangle incidence built from the listing and
 kill each live triangle once (the triangle-list peel of Wang & Cheng
 2012), so a whole peel does O(T) removal work for T triangles; a bulk
 step first marks its frontier removed, so a live triangle's removed edges
-are its frontier edges, and kills it once, from the first of them. The
+are its frontier edges, and kills it once, from the first of them; one
+``np.unique`` merges the survivors' repeats into a count per edge. The
 truncated decomposition is the same peel stopped after round k_trunc;
 the witness engine in ``witness`` runs those rounds with a stack step
 that reads its table instead.
@@ -28,7 +29,7 @@ from math import isqrt
 
 import numpy as np
 
-from .graphs import Graph, ValidationError, stable_order
+from .graphs import Graph, ValidationError
 from .triangles import TriangleCounts, _runs, triangle_counts
 
 REMOVED = -1
@@ -97,9 +98,10 @@ def instrumented_truss_decomposition(
         return TrussLabels([], k_trunc), PeelStats()
     counts = triangle_counts(G)
     delta = array("q", counts.per_edge)
-    k_stop = k_trunc or min(isqrt(2 * m), max(delta) + 1)
+    top = np.frombuffer(delta, np.int64).max  # the largest residual count
+    k_stop = k_trunc or min(isqrt(2 * m), int(top()) + 1)
     tau, stats = _peel(delta, k_stop, *_triangle_steps(delta, counts))
-    assert k_trunc or max(delta) == REMOVED, "peeling failed to remove every edge"
+    assert k_trunc or top() == REMOVED, "peeling failed to remove every edge"
     return TrussLabels(tau.tolist(), k_trunc), stats
 
 
@@ -198,17 +200,16 @@ def _triangle_steps(delta: array, counts: TriangleCounts):
         live_count[frontier] = REMOVED
         steps, crossed = 0, [frontier[:0]]
         for r, at in _runs(rows[frontier], rows[frontier + 1] - rows[frontier], _GATHER):
-            mine = live_tri[ids[at]] == 1
+            mine = np.flatnonzero(live_tri[ids[at]])  # indices gather faster than random masks
             t, e = ids[at[mine]], frontier[r[mine]]
-            cols = edges_of[t]
+            cols = edges_of.take(t, axis=0)
             gone = live_count[cols] == REMOVED
-            mine = cols[np.arange(len(t)), gone.argmax(axis=1)] == e  # its first removed edge
-            t, f = t[mine], cols[mine][~gone[mine]]
+            x, y, z = cols.T  # a triangle's first removed edge kills it
+            mine = np.where(gone[:, 0], x, np.where(gone[:, 1], y, z)) == e
+            t, f = t[np.flatnonzero(mine)], cols.ravel()[np.flatnonzero(~gone & mine[:, None])]
             live_tri[t] = 0
             steps += len(t)
-            f = f[stable_order(f, len(delta))]
-            first = np.flatnonzero(np.diff(f, prepend=-1))
-            f, c = f[first], np.diff(first, append=len(f))
+            f, c = np.unique(f, return_counts=True)
             live_count[f] -= c
             crossed.append(f[(live_count[f] < k) & (live_count[f] + c >= k)])
         return steps, np.concatenate(crossed)
@@ -270,6 +271,16 @@ def k_truss_components(
     labels, k must not exceed the truncation bound (the restricted edge
     set is only known up to there).
     """
+    comp = component_ids(G, k, labels)
+    edges = np.argsort(comp, kind="stable")[np.count_nonzero(comp < 0):]
+    parts = np.split(edges, np.flatnonzero(np.diff(comp[edges])) + 1)
+    return [tuple(part.tolist()) for part in parts if len(part)]
+
+
+def component_ids(G: Graph, k: int, labels: TrussLabels) -> np.ndarray:
+    """Per edge, its ``k_truss_components`` index, or -1 where tau < k.
+    Each round hooks every root onto the smallest smaller root across a kept
+    edge, then jumps pointers until each vertex points at its root."""
     if k < 1:
         raise ValidationError("k must be at least 1")
     if len(labels.tau) != G.m:
@@ -279,21 +290,15 @@ def k_truss_components(
             f"k={k} exceeds truncation bound {labels.truncated_at}; "
             "exact memberships unknown above it"
         )
-    keep = [e for e in range(G.m) if labels.tau[e] >= k]
-    ends = G.ends.tolist()
-    parent = list(range(G.n + 1))
-    for e in keep:
-        u, v = ends[e]
-        parent[_find(parent, u)] = _find(parent, v)
-    groups: dict[int, list[int]] = {}
-    for e in keep:  # first seen first, so ordered by smallest edge id
-        groups.setdefault(_find(parent, ends[e][0]), []).append(e)
-    return [tuple(g) for g in groups.values()]
-
-
-def _find(parent: list[int], x: int) -> int:
-    """Union-find root of x, halving the path on the way up."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+    kept = np.flatnonzero(np.asarray(labels.tau, np.int64) >= k)
+    u, v = G.ends[kept, 0], G.ends[kept, 1]
+    root = np.arange(G.n + 1)
+    while (split := root[u] != root[v]).any():
+        ru, rv = root[u[split]], root[v[split]]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while not np.array_equal(up := root[root], root):
+            root = up
+    _, first, which = np.unique(root[u], return_index=True, return_inverse=True)
+    comp = np.full(G.m, -1)
+    comp[kept] = np.argsort(np.argsort(first))[which]  # numbered by first kept edge
+    return comp

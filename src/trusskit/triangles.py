@@ -11,7 +11,8 @@ keeps each triangle's edge ids, counts them in one ``bincount`` and
 builds the edge -> triangle incidence from them, and the
 vertex listing keeps each triangle's vertices, both under the memory cap;
 count-only callers keep none, and witness init and the bound report read
-the blocks as they come.
+the blocks as they come. Only the vertex readers have the blocks build
+vertex rows.
 """
 
 from __future__ import annotations
@@ -95,19 +96,20 @@ def _reserve(G: Graph, kept: int) -> int:
     return need
 
 
-def _blocks(G: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _blocks(G: Graph, vertices: bool = True) -> Iterator[tuple[np.ndarray | None, np.ndarray]]:
     """Yield ``(opposite, edges)`` per wedge block, int64 (t, 3) arrays:
     ``edges`` holds each closed triangle's edge ids and ``opposite``,
-    column for column, the vertex opposite each. Callers check the cap."""
+    column for column, the vertex opposite each, or None unless
+    ``vertices``. Callers check the cap."""
     n1, m = G.n + 1, G.m
     if m == 0:
         return
     by_rank = stable_order(G.degrees, n1)
     rank = np.empty(n1, np.int64)
     rank[by_rank] = np.arange(n1)  # position in (degree, id) order
-    ends = rank[G.ends]
-    keys = ends.min(axis=1) * n1 + ends.max(axis=1)  # edge (lo, hi) in rank order
-    del ends
+    u, v = rank[G.ends[:, 0]], rank[G.ends[:, 1]]
+    keys = np.minimum(u, v) * n1 + np.maximum(u, v)  # edge (lo, hi) in rank order
+    del u, v
     eid = stable_order(keys, n1 * n1)  # edge ids in (src, dst) order: the out-CSR
     keys = keys[eid]
     src, dst = np.divmod(keys, n1)
@@ -116,9 +118,9 @@ def _blocks(G: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     for s, t in _runs(np.arange(1, m + 1), later, _WEDGE_BLOCK):
         close = dst[s] * n1 + dst[t]
         at = np.minimum(np.searchsorted(keys, close), m - 1)
-        hit = keys[at] == close
+        hit = np.flatnonzero(keys[at] == close)  # indices gather faster than a random mask
         s, t, at = s[hit], t[hit], at[hit]
-        opposite = by_rank[np.stack([dst[t], dst[s], src[s]], axis=1)]
+        opposite = by_rank[np.stack([dst[t], dst[s], src[s]], axis=1)] if vertices else None
         yield opposite, eid[np.stack([s, t, at], axis=1)]
 
 
@@ -159,7 +161,7 @@ def triangle_counts(G: Graph, *, keep_listing: bool = True) -> TriangleCounts:
     per_edge = np.zeros(G.m, dtype=np.int64)
     listing = array("i") if keep_listing else None
     total = 0
-    for _, edges in _blocks(G):
+    for _, edges in _blocks(G, vertices=False):
         total += len(edges)
         if listing is not None:
             need = _reserve(G, total)

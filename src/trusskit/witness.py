@@ -218,7 +218,8 @@ def init_witness(G: Graph, cfg: WitnessConfig, _xmat=None) -> WitnessState:
     delta = np.zeros(m, dtype=np.int64)
     for opposite, edges in _blocks(G):
         if heavy is not None:
-            light = ~heavy[opposite].all(axis=1)
+            x, y, z = heavy[opposite].T
+            light = ~(x & y & z)
             opposite, edges = opposite[light], edges[light]
         es, ws = edges.ravel(), opposite.ravel()
         for lo in range(0, len(es), _INIT_CHUNK):
@@ -248,7 +249,7 @@ def _add_heavy_triangles(G, xmat, heavy, S, delta) -> None:
     (A_l (w * A_l)^T)[u, v], A_l keeping the columns of heavy w in X_l,
     sums their witness ids for set l."""
     ends = G.ends
-    hh = np.flatnonzero(heavy[ends].all(axis=1))
+    hh = np.flatnonzero(heavy[ends[:, 0]] & heavy[ends[:, 1]])
     if hh.size == 0:
         return
     hv = np.flatnonzero(heavy)

@@ -386,6 +386,29 @@ def induced_by_edges(G, edge_set):
     return Graph([G.labels[v] for v in touched], pairs)
 
 
+def edge_components(G, kept):
+    """The kept edge ids grouped by connected component, a breadth-first
+    walk from each unvisited kept edge in ascending order: components by
+    smallest edge id, edges ascending inside each."""
+    edges = edge_pairs(G)
+    at = {}
+    for e in sorted(kept):
+        for v in edges[e]:
+            at.setdefault(v, []).append(e)
+    seen, comps = set(), []
+    for e in sorted(kept):
+        if e in seen:
+            continue
+        seen.add(e)
+        comp = [e]
+        for f in comp:
+            for g in (g for v in edges[f] for g in at[v] if g not in seen):
+                seen.add(g)
+                comp.append(g)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
 def level_bound_checks(G, tau):
     """The per-level checks of ``bound_report``, rebuilt level by level:
     for each k the subgraph of edges with tau >= k is split into

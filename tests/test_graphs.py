@@ -17,7 +17,15 @@ from trusskit import (
     from_edges,
     parse_edge_list,
 )
-from trusskit.graphs import _SPREAD, _decimal_ids, _split_parse, _walk_lines, stable_order
+from trusskit.graphs import (
+    _ROWS,
+    _SPREAD,
+    _decimal_ids,
+    _split_parse,
+    _walk_lines,
+    stable_order,
+    text_rows,
+)
 
 from .oracles import adjacency, edge_pairs, induced_by_edges, induced_by_vertices
 from .strategies import edge_texts, small_graphs
@@ -338,6 +346,32 @@ def test_round_trip_from_generated(G):
     g2 = parse_edge_list(G.serialize())
     touched = sum(1 for v in G.vertices if G.degrees[v] > 0)
     assert (g2.n, g2.m) == (touched, G.m)
+
+
+@pytest.mark.parametrize(
+    "holes",
+    [(0,), (1,), (2,), (0, 2), (1, 2)],
+    ids=["first", "middle", "last", "first+last", "middle+last"],
+)
+def test_text_rows_skips_minus_one_in_any_column(holes):
+    # rows that hold -1 in any column are skipped, wherever it sits; one
+    # column shares its table with another, and the rows span three pieces
+    rng = np.random.default_rng(len(holes) * 10 + holes[0])
+    size = 2 * _ROWS + 37
+    head, tail = [f"v{i} " for i in range(50)], [f"{i}\n" for i in range(9)]
+    tables = [head, head, tail]
+    index = [rng.integers(0, len(t), size) for t in tables]
+    for j in holes:
+        index[j][rng.random(size) < 0.3] = -1
+    order = rng.permutation(size)
+    want = "".join(
+        f"{head[index[0][r]]}{head[index[1][r]]}{tail[index[2][r]]}"
+        for r in order.tolist()
+        if min(index[0][r], index[1][r], index[2][r]) >= 0
+    )
+    got = "".join(text_rows(list(zip(tables, index)), order))
+    assert got == want
+    assert len(got.splitlines()) < size
 
 
 @pytest.mark.parametrize(

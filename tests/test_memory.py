@@ -25,7 +25,7 @@ from trusskit import (
     triangle_counts,
     truss_decomposition,
 )
-from trusskit.cli import _write_edge_rows
+from trusskit.cli import EXIT_OK, EXIT_VERIFY_FAILED, _write_edge_rows, main
 from trusskit.triangles import _footprint
 
 BYTES_PER_EDGE = 2048
@@ -41,6 +41,10 @@ RETAINED_BYTES_PER_EDGE = 72
 # once each, and per piece of rows their index columns and bytes, whatever m is
 WRITER_BYTES_PER_VERTEX = 200
 WRITER_PIECE_BYTES = 2**19
+
+# a whole CLI run on a sparse graph with n close to m: the parse, the
+# command's per-edge and per-vertex arrays and lists, and its row writer
+CLI_BYTES_PER_EDGE = 512
 
 GRAPHS = {
     "critical_2truss(5000)": (lambda: critical_2truss(5000), 2),
@@ -214,3 +218,47 @@ def test_row_writer_peak_does_not_grow_with_m(make):
             tracemalloc.stop()
     bound = WRITER_BYTES_PER_VERTEX * (G.n + 1) + WRITER_PIECE_BYTES
     assert peak <= bound, f"writer peaked at {peak} bytes, over {bound} (n={G.n}, m={G.m})"
+
+
+CEILING_N = 10**5
+CEILING_TEXTS = {
+    "path": lambda: "".join(f"{v} {v + 1}\n" for v in range(1, CEILING_N)),
+    "star": lambda: "".join(f"1 {v}\n" for v in range(2, CEILING_N + 1)),
+}
+# a triangle-free graph with two or more edges is a 0-truss but no critical one
+CEILING_COMMANDS = {
+    "truss": EXIT_OK,
+    "truncated-truss --k-trunc 2": EXIT_OK,
+    "components --k 2": EXIT_OK,
+    "triangles": EXIT_OK,
+    "triangles --counts": EXIT_OK,
+    "stats": EXIT_OK,
+    "verify truss --k 0": EXIT_OK,
+    "verify critical --k 0": EXIT_VERIFY_FAILED,
+    "verify bounds": EXIT_OK,
+}
+
+
+@pytest.fixture(scope="module")
+def ceiling_inputs(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("ceiling")
+    for name, make in CEILING_TEXTS.items():
+        (folder / f"{name}.txt").write_text(make())
+    return folder
+
+
+@pytest.mark.parametrize("command", CEILING_COMMANDS)
+@pytest.mark.parametrize("graph", sorted(CEILING_TEXTS))
+def test_cli_peak_within_bytes_per_edge_on_path_and_star(ceiling_inputs, graph, command):
+    # every subcommand that reads a graph, on 10^5 vertices: any n x n step
+    # or quadratic list would take gigabytes
+    m = CEILING_N - 1
+    argv = ["-i", str(ceiling_inputs / f"{graph}.txt"), "-o", str(ceiling_inputs / "out.txt")]
+    tracemalloc.start()
+    try:
+        code = main(argv + command.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == CEILING_COMMANDS[command]
+    assert peak <= CLI_BYTES_PER_EDGE * m, f"{command} peaked at {peak / m:.0f} bytes per edge"

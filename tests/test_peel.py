@@ -23,6 +23,7 @@ from trusskit.graphs import degeneracy
 from trusskit.peel import _truncation_cap, instrumented_truss_decomposition
 
 from .oracles import (
+    edge_components,
     edge_pairs,
     min_degree_sum,
     assert_invariants,
@@ -182,6 +183,24 @@ def test_components_each_is_k_truss():
     for k in range(1, max(labels.tau) + 1):
         for comp in k_truss_components(g, k, labels):
             assert is_k_truss(induced_by_edges(g, comp), k)
+
+
+@given(small_graphs(min_m=1), st.data())
+@example(from_edges(6, [(4, 5), (5, 6), (4, 6), (1, 2), (2, 3), (1, 3)]), None)
+def test_components_match_the_breadth_first_oracle(G, data):
+    # ordered by smallest edge id, not by smallest vertex: the example's
+    # first component holds vertices 4..6
+    taus = st.lists(st.integers(0, 3), min_size=G.m, max_size=G.m)
+    tau = [3] * G.m if data is None else data.draw(taus)
+    labels = peel.TrussLabels(tau)
+    for k in (1, 2, 3):
+        comps = edge_components(G, [e for e in range(G.m) if tau[e] >= k])
+        assert k_truss_components(G, k, labels) == comps
+        ids = [-1] * G.m
+        for i, comp in enumerate(comps):
+            for e in comp:
+                ids[e] = i
+        assert peel.component_ids(G, k, labels).tolist() == ids
 
 
 def test_components_above_truncation_rejected():
