@@ -9,9 +9,10 @@ from importlib import import_module as _import
 
 _PUBLIC = {
     "graphs": ("Graph", "GraphError", "ParseError", "ValidationError", "InfeasibleError",
-               "DegeneracyReport", "degeneracy", "from_edges", "parse_edge_list"),
+               "from_edges", "parse_edge_list"),
     "triangles": ("ResourceLimitError", "TriangleCounts", "triangle_counts"),
-    "peel": ("TrussLabels", "k_truss_components", "truss_decomposition"),
+    "peel": ("DegeneracyReport", "TrussLabels", "degeneracy", "k_truss_components",
+             "truss_decomposition"),
     "witness": ("WitnessConfig", "WitnessState", "EnumerationOutcome", "enumerate_residual",
                 "init_witness", "remove_edge", "truncated_decomposition"),
     "generators": ("ConstructionReceipt", "FaceEmbedding", "clique_chain",

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import graphs as gr
-from .graphs import Graph, ValidationError
-from .peel import TrussLabels, _critical_trials
+from .graphs import Graph, ValidationError, from_edges, stable_order
+from .peel import TrussLabels, _critical_trials, _hook, degeneracy
 from .triangles import _blocks, triangle_counts
 
 
@@ -96,126 +95,21 @@ def bound_report(G: Graph, labels: TrussLabels) -> BoundReport:
         raise ValidationError("bound report needs exact, untruncated labels")
     if len(labels.tau) != G.m:
         raise ValidationError("labels do not match graph")
+    if G.m == 0:
+        return BoundReport([BoundCheck("trussness_vs_edge_count", True, None, "no edges")])
+    tau = np.asarray(labels.tau, np.int64)
+    worst = _level_checks(G, tau)  # before the degeneracy builds the CSR: a lower peak
+    e = int(np.argmax(tau))  # the first largest
+    top, dg, m = int(tau[e]), degeneracy(G).degeneracy, G.m
     report = BoundReport()
-    m = G.m
-    if m == 0:
-        report.checks.append(
-            BoundCheck("trussness_vs_edge_count", True, None, "no edges")
-        )
-        return report
-    tau = labels.tau
-    # (d) (2 tau + 3)^2 <= 8m + 1, i.e. tau <= sqrt(2m + 1/4) - 3/2
-    worst_e = max(range(m), key=lambda e: tau[e])
-    margin_d = (8 * m + 1) - (2 * tau[worst_e] + 3) ** 2
-    report.checks.append(
-        BoundCheck(
-            "trussness_vs_edge_count",
-            margin_d >= 0,
-            margin_d,
-            f"(2*tau+3)^2 = {(2 * tau[worst_e] + 3) ** 2} vs 8m+1 = {8 * m + 1}",
-            _edge_name(G, worst_e),
-        )
-    )
-    # (e) tau <= degeneracy - 1
-    dg = gr.degeneracy(G).degeneracy
-    margin_e = (dg - 1) - tau[worst_e]
-    report.checks.append(
-        BoundCheck(
-            "trussness_vs_degeneracy",
-            margin_e >= 0,
-            margin_e,
-            f"max tau = {tau[worst_e]} vs degeneracy-1 = {dg - 1}",
-            _edge_name(G, worst_e),
-        )
-    )
-    # per-level component checks, aggregated to the worst instance of each
-    # kind: the smallest margin, ties to the lowest level, then the first seen
-    worst: dict[str, BoundCheck] = {}
-    order: dict[str, tuple[int, int]] = {}
-
-    def consider(name: str, margin: int, detail: str, witness: str):
-        if name not in order or (margin, k) < order[name]:
-            order[name] = (margin, k)
-            worst[name] = BoundCheck(name, margin >= 0, margin, detail, witness)
-
-    # Level k keeps the edges with tau >= k and the triangles whose smallest
-    # edge tau is >= k. One sweep from the top level down adds each level's
-    # edges to a union-find over the vertices, and its edges and triangles
-    # to the per-vertex degree, smallest edge id and triangle count.
-    max_tau = max(tau)
-    edges_at: list[list[int]] = [[] for _ in range(max_tau + 1)]
-    for e, t in enumerate(tau):
-        edges_at[t].append(e)
-    tris_at: list[list[np.ndarray]] = [[] for _ in range(max_tau + 1)]
-    tau_arr = np.asarray(tau)
-    for vertices, edges in _blocks(G):
-        x, y, z = tau_arr[edges].T
-        level = np.minimum(np.minimum(x, y), z)
-        for lv in np.flatnonzero(np.bincount(level)).tolist():
-            tris_at[lv].append(vertices[level == lv])
-    ends = G.ends.tolist()
-    parent = list(range(G.n + 1))
-    deg = [0] * (G.n + 1)
-    low = [m] * (G.n + 1)
-    tri = [0] * (G.n + 1)
-    active: list[int] = []
-    for k in range(max_tau, 0, -1):
-        for e in edges_at[k]:
-            u, v = ends[e]
-            for x in (u, v):
-                if not deg[x]:
-                    active.append(x)
-                deg[x] += 1
-                low[x] = min(low[x], e)
-            parent[_find(parent, u)] = _find(parent, v)
-        for block in tris_at[k]:
-            for x in block.ravel().tolist():
-                tri[x] += 1
-        active.sort()
-        comps: dict[int, list[int]] = {}
-        for x in active:  # components by smallest vertex, vertices ascending
-            comps.setdefault(_find(parent, x), []).append(x)
-        for vs_c in comps.values():
-            n_c = len(vs_c)
-            m_c = sum(deg[v] for v in vs_c) // 2
-            named = f"component of {_edge_name(G, min(low[v] for v in vs_c))}"
-            # (b) component has at least k+2 vertices
-            consider(
-                "component_vertex_count",
-                n_c - (k + 2),
-                f"k={k}: component has {n_c} vertices vs bound {k + 2}",
-                named,
-            )
-            # (f) edge count: 2 m_c >= (n_c - 1)(k + 2)
-            consider(
-                "component_edge_count",
-                2 * m_c - (n_c - 1) * (k + 2),
-                f"k={k}: 2*m_c = {2 * m_c} vs (n_c-1)(k+2) = {(n_c - 1) * (k + 2)}",
-                named,
-            )
-            # (f) triangle count: 6 t_c >= (n_c - 1)(k + 2) k
-            t_c = sum(tri[v] for v in vs_c) // 3
-            consider(
-                "component_triangle_count",
-                6 * t_c - (n_c - 1) * (k + 2) * k,
-                f"k={k}: 6*t_c = {6 * t_c} vs (n_c-1)(k+2)k = {(n_c - 1) * (k + 2) * k}",
-                named,
-            )
-            for v in vs_c:
-                # (a) degree inside the component
-                consider(
-                    "component_min_degree",
-                    deg[v] - (k + 1),
-                    f"k={k}: deg = {deg[v]} vs bound {k + 1}",
-                    f"vertex {G.labels[v]}",
-                )
-                # (c) triangle support, equivalent to cc(v) >= C(k+1,2)/C(d,2)
-                consider(
-                    "clustering_support",
-                    tri[v] - (k + 1) * k // 2,
-                    f"k={k}: triangles at v = {tri[v]} vs C(k+1,2) = {(k + 1) * k // 2}",
-                    f"vertex {G.labels[v]}",
-                )
+    for name, margin, detail in (
+        # (d) (2 tau + 3)^2 <= 8m + 1, i.e. tau <= sqrt(2m + 1/4) - 3/2
+        ("trussness_vs_edge_count", (8 * m + 1) - (2 * top + 3) ** 2,
+         f"(2*tau+3)^2 = {(2 * top + 3) ** 2} vs 8m+1 = {8 * m + 1}"),
+        # (e) tau <= degeneracy - 1
+        ("trussness_vs_degeneracy", (dg - 1) - top, f"max tau = {top} vs degeneracy-1 = {dg - 1}"),
+    ):
+        report.checks.append(BoundCheck(name, margin >= 0, margin, detail, _edge_name(G, e)))
     if not worst:
         worst["component_min_degree"] = BoundCheck(
             "component_min_degree", True, None, "no k-truss components (triangle-free)"
@@ -224,9 +118,82 @@ def bound_report(G: Graph, labels: TrussLabels) -> BoundReport:
     return report
 
 
-def _find(parent: list[int], x: int) -> int:
-    """Union-find root of x, halving the path on the way up."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+def _level_checks(G: Graph, tau: np.ndarray) -> dict[str, BoundCheck]:
+    """The worst instance of each per-level component check: the smallest
+    margin, ties to the lowest level, then the smallest component root (its
+    smallest vertex), then the smallest vertex.
+
+    Level k keeps the edges with tau >= k and the triangles whose smallest
+    edge tau is >= k. One sweep from the top level down adds each level's
+    edges to the per-vertex degree and smallest edge id, and joins their
+    components with ``component_ids``' hooking: components only merge as k
+    falls, so the roots carry down. A level that holds no edge is skipped:
+    it has the components of the level above and a larger margin in every
+    check. The triangles are listed once, from the edges on some level,
+    and counted a block at a time into one slot per vertex and level up to
+    that of its top edge: with exact labels a vertex on level k has degree
+    above k, so the slots number at most 2m.
+    """
+    levels = np.sort(tau[tau > 0])
+    levels = levels[np.diff(levels, prepend=0) > 0]  # each label above 0 once
+    if not len(levels):
+        return {}
+    at = np.searchsorted(levels, tau, side="right") - 1  # each edge's level index, -1 below 1
+    ends = G.ends
+    span = np.zeros(G.n + 1, np.int64)  # the levels up to each vertex's top edge's
+    np.maximum.at(span, ends.ravel(), np.repeat(at + 1, 2))
+    base = np.cumsum(span) - span  # vertex x counts level i's triangles at base[x] + i
+    fresh = np.zeros(int(span.sum()), np.int64)
+    on = np.flatnonzero(at >= 0)  # a triangle through any other edge is on no level
+    H, at_on = (G if len(on) == G.m else from_edges(G.n, ends[on])), at[on]
+    for opposite, edges in _blocks(H):
+        level = np.minimum(np.minimum(at_on[edges[:, 0]], at_on[edges[:, 1]]), at_on[edges[:, 2]])
+        for x in opposite.T:
+            np.add.at(fresh, base[x] + level, 1)
+        del opposite, edges, level, x  # so the next block is built without them
+    by_level = stable_order(at + 1, len(levels) + 1)
+    cut = np.searchsorted(at[by_level], np.arange(len(levels) + 1))
+    deg, tri = np.zeros(G.n + 1, np.int64), np.zeros(G.n + 1, np.int64)
+    low, root = np.full(G.n + 1, G.m), np.arange(G.n + 1)
+    active = np.empty(0, np.int64)
+    worst: dict[str, BoundCheck] = {}
+    for i in range(len(levels) - 1, -1, -1):
+        k, new = int(levels[i]), by_level[cut[i] : cut[i + 1]]
+        pair = ends[new]
+        grow = np.sort(pair[deg[pair] == 0])  # the vertices this level adds
+        active = np.sort(np.concatenate([active, grow[np.diff(grow, prepend=0) > 0]]))
+        for x in pair.T:
+            np.add.at(deg, x, 1)
+            np.minimum.at(low, x, new)
+        _hook(root, *pair.T, active)
+        tri[active] += fresh[base[active] + i]
+        vs = active[np.argsort(root[active], kind="stable")]  # by component, vertices ascending
+        start = np.flatnonzero(np.diff(root[vs], prepend=-1))
+        # Python ints where a bound could overflow int64, as labels past any trussness can
+        kind = np.int64 if (k + 2) * k * len(vs) < 2**62 else object
+        d, t = deg[vs].astype(kind), tri[vs].astype(kind)
+        n_c = np.diff(start, append=len(vs)).astype(kind)
+        first = np.minimum.reduceat(low[vs], start)  # each component's smallest edge id
+        for name, seen, bound, text, of in (
+            # (b) component has at least k+2 vertices
+            ("component_vertex_count", n_c, k + 2, "component has {} vertices vs bound {}", first),
+            # (f) edge count: 2 m_c >= (n_c - 1)(k + 2)
+            ("component_edge_count", np.add.reduceat(d, start), (n_c - 1) * (k + 2),
+             "2*m_c = {} vs (n_c-1)(k+2) = {}", first),
+            # (f) triangle count: 6 t_c >= (n_c - 1)(k + 2) k
+            ("component_triangle_count", 2 * np.add.reduceat(t, start), (n_c - 1) * (k + 2) * k,
+             "6*t_c = {} vs (n_c-1)(k+2)k = {}", first),
+            # (a) degree inside the component
+            ("component_min_degree", d, k + 1, "deg = {} vs bound {}", vs),
+            # (c) triangle support, equivalent to cc(v) >= C(k+1,2)/C(d,2)
+            ("clustering_support", t, (k + 1) * k // 2, "triangles at v = {} vs C(k+1,2) = {}", vs),
+        ):
+            margins = seen - bound
+            j = int(np.argmin(margins))  # the first smallest
+            margin, w = int(margins[j]), int(of[j])
+            if name in worst and margin > worst[name].margin:
+                continue  # an equal margin moves to this lower level
+            witness = f"vertex {G.labels[w]}" if of is vs else f"component of {_edge_name(G, w)}"
+            detail = f"k={k}: " + text.format(seen[j], seen[j] - margin)
+            worst[name] = BoundCheck(name, margin >= 0, margin, detail, witness)
+    return worst

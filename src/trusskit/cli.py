@@ -126,7 +126,7 @@ def _write_edge_rows(G: Graph, codes, out, name=str) -> None:
 
 
 def _cmd_stats(ns, G, out):
-    report = graphs.degeneracy(G)
+    report = peel.degeneracy(G)
     tc = triangles.triangle_counts(G, keep_listing=False)
     avg = report.average_degeneracy
     out.write(f"n\t{G.n}\n")

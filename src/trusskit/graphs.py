@@ -16,7 +16,6 @@ the serializer's included, from small string tables and int columns.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
@@ -307,54 +306,3 @@ def _walk_lines(text: str | bytes) -> Graph:
         edge_ids[key] = len(edge_ids)
     return Graph(list(ids), edge_ids)
 
-
-# -- degeneracy ------------------------------------------------------------
-
-
-@dataclass
-class DegeneracyReport:
-    """Output of minimum-degree peeling.
-
-    ``average_degeneracy`` is the exact rational mean over edges of the
-    smaller endpoint degree (static degrees), kept as a Fraction so tests
-    never compare floats.
-    """
-
-    degeneracy: int
-    elimination_order: list[int]
-    average_degeneracy: Fraction
-
-
-def degeneracy(G: Graph) -> DegeneracyReport:
-    """Exact degeneracy via a bucket queue, plus the elimination order
-    realizing it and the average degeneracy."""
-    from fractions import Fraction  # with decimal behind it: only its callers load it
-    n = G.n
-    if n == 0:
-        return DegeneracyReport(0, [], Fraction(0))
-    ptr, nbr = (a.tolist() for a in G.csr[:2])
-    cur = G.degrees.tolist()
-    max_deg = max(cur)
-    buckets: list[list[int]] = [[] for _ in range(max_deg + 1)]
-    for v in G.vertices:
-        buckets[cur[v]].append(v)
-    removed = [False] * (n + 1)
-    order: list[int] = []
-    delta = 0
-    d = 0
-    while len(order) < n:
-        while d <= max_deg and not buckets[d]:
-            d += 1
-        v = buckets[d].pop()
-        if removed[v] or cur[v] != d:
-            continue  # stale bucket entry
-        removed[v] = True
-        order.append(v)
-        delta = max(delta, d)
-        for w in nbr[ptr[v] : ptr[v + 1]]:
-            if not removed[w]:
-                cur[w] -= 1
-                buckets[cur[w]].append(w)
-        d = max(d - 1, 0)
-    avg = Fraction(int(np.minimum(*G.degrees[G.ends.T]).sum()), G.m or 1)
-    return DegeneracyReport(delta, order, avg)

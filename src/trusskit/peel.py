@@ -16,7 +16,8 @@ are its frontier edges, and kills it once, from the first of them; one
 ``np.unique`` merges the survivors' repeats into a count per edge. The
 truncated decomposition is the same peel stopped after round k_trunc;
 the witness engine in ``witness`` runs those rounds with a stack step
-that reads its table instead.
+that reads its table instead. Core decomposition is the vertex form of the
+same peel, over residual degrees, with steps that walk the CSR rows.
 Each decomposition is a single-threaded state machine; the input Graph is
 only read, so decompositions of different graphs can run concurrently.
 """
@@ -141,6 +142,7 @@ def _peel(delta, k_stop, remove, bulk=None, check=lambda *_: None) -> tuple[arra
     reaches k - 1, and returns the steps it took. The steps are the only
     part that knows how the triangles are found. ``check(k, frontier)``
     runs after each scan, after each bulk step and after each drained stack.
+    ``degeneracy`` runs the same rounds over vertices and residual degrees.
     """
     live, tau = np.arange(len(delta)), array("q", [k_stop]) * len(delta)
     counts, labels = np.frombuffer(delta, np.int64), np.frombuffer(tau, np.int64)
@@ -217,6 +219,72 @@ def _triangle_steps(delta: array, counts: TriangleCounts):
     return remove, bulk
 
 
+@dataclass
+class DegeneracyReport:
+    """Output of core decomposition. ``elimination_order`` lists the vertices
+    in removal order, each with at most ``degeneracy`` neighbours after it;
+    ``average_degeneracy`` is the exact mean over edges of the smaller
+    endpoint degree, a Fraction so tests never compare floats."""
+
+    degeneracy: int
+    elimination_order: list[int]
+    average_degeneracy: Fraction
+
+
+def degeneracy(G: Graph) -> DegeneracyReport:
+    """Exact degeneracy by the vertex form of the threshold peel: round k
+    removes the vertices left with fewer than k live neighbours, so each
+    has at most k - 1 neighbours removed after it, and the last round to
+    remove one is the degeneracy plus one."""
+    from fractions import Fraction  # with decimal behind it: only its callers load it
+    if G.n == 0:
+        return DegeneracyReport(0, [], Fraction(0))
+    delta = array("q", G.degrees.tobytes())
+    order = array("q", (np.flatnonzero(G.degrees[1:] == 0) + 1).tobytes())  # round 1 takes no step
+    core, _ = _peel(delta, int(G.degrees.max()) + 1, *_vertex_steps(G, delta, order))
+    avg = Fraction(int(np.minimum(*G.degrees[G.ends.T]).sum()), G.m or 1)
+    return DegeneracyReport(max(core), order.tolist(), avg)
+
+
+def _vertex_steps(G: Graph, delta: array, order: array):
+    """``(remove, bulk)`` over residual degrees ``delta``: each appends the
+    vertices it removes to ``order`` and decrements their live neighbours,
+    one step a decrement, at most m in all. ``remove`` walks one vertex's
+    CSR row; ``bulk`` gathers the frontier's rows and counts each neighbour."""
+    indptr, nbr = G.csr[:2]
+    ptr, row = memoryview(indptr), memoryview(nbr)
+    live_count = np.frombuffer(delta, np.int64)
+
+    def remove(v: int, k: int, stack: list[int]) -> int:
+        assert delta[v] != REMOVED, f"vertex {v} removed twice"
+        delta[v] = REMOVED
+        order.append(v)
+        steps = 0
+        for w in row[ptr[v] : ptr[v + 1]]:
+            if delta[w] != REMOVED:
+                delta[w] -= 1
+                steps += 1
+                if delta[w] == k - 1:
+                    stack.append(w)
+        return steps
+
+    def bulk(frontier: np.ndarray, k: int) -> tuple[int, np.ndarray]:
+        assert (live_count[frontier] != REMOVED).all(), "frontier vertex removed twice"
+        live_count[frontier] = REMOVED
+        order.frombytes(frontier.tobytes())
+        steps, crossed = 0, [frontier[:0]]
+        first = indptr[frontier]
+        for _, at in _runs(first, indptr[frontier + 1] - first, _GATHER):
+            w = nbr[at]
+            w, c = np.unique(w[live_count[w] != REMOVED], return_counts=True)
+            live_count[w] -= c
+            steps += int(c.sum())
+            crossed.append(w[(live_count[w] < k) & (live_count[w] + c >= k)])
+        return steps, np.concatenate(crossed)
+
+    return remove, bulk
+
+
 def _critical_trials(counts: TriangleCounts, k: int) -> tuple[bool, int]:
     """``is_critical_k_truss`` past its guards, from G's counts with their
     listing, and the number of triangles its trials killed. Each trial
@@ -278,9 +346,7 @@ def k_truss_components(
 
 
 def component_ids(G: Graph, k: int, labels: TrussLabels) -> np.ndarray:
-    """Per edge, its ``k_truss_components`` index, or -1 where tau < k.
-    Each round hooks every root onto the smallest smaller root across a kept
-    edge, then jumps pointers until each vertex points at its root."""
+    """Per edge, its ``k_truss_components`` index, or -1 where tau < k."""
     if k < 1:
         raise ValidationError("k must be at least 1")
     if len(labels.tau) != G.m:
@@ -293,12 +359,21 @@ def component_ids(G: Graph, k: int, labels: TrussLabels) -> np.ndarray:
     kept = np.flatnonzero(np.asarray(labels.tau, np.int64) >= k)
     u, v = G.ends[kept, 0], G.ends[kept, 1]
     root = np.arange(G.n + 1)
-    while (split := root[u] != root[v]).any():
-        ru, rv = root[u[split]], root[v[split]]
-        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
-        while not np.array_equal(up := root[root], root):
-            root = up
+    _hook(root, u, v)
     _, first, which = np.unique(root[u], return_index=True, return_inverse=True)
     comp = np.full(G.m, -1)
     comp[kept] = np.argsort(np.argsort(first))[which]  # numbered by first kept edge
     return comp
+
+
+def _hook(root: np.ndarray, u: np.ndarray, v: np.ndarray, within=slice(None)) -> None:
+    """Join the components across the edges (u, v) in ``root``, where each
+    vertex points at its component's smallest vertex, its root. Each round
+    hooks every root onto the smallest smaller root across an edge, then
+    jumps pointers until each vertex ``within`` points at its root again;
+    ``within`` must hold every vertex of the joined components."""
+    while (split := root[u] != root[v]).any():
+        ru, rv = root[u[split]], root[v[split]]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while not np.array_equal(up := root[root[within]], root[within]):
+            root[within] = up

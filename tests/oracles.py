@@ -3,15 +3,16 @@ subgraph helpers some tests build their inputs with.
 
 Each reference takes a road of its own: one all-triples scan for the
 triangles and the per-edge counts, dense adjacency products for the
-decomposition, the truss test and the greedy suspension, every edge
-subset for criticality, neighbour-set recounts for the maximal k-truss
-and the m single-edge peels, plain loops over the residual graph for the
-witness table and the peel's invariant check, a search per level for
-the bound report, for the torus search a candidate list built up front
-and checked on a dense adjacency matrix, and one f-string per row for the
-row writers. None of them calls the
-code path it checks. The expensive ones refuse inputs past their caps,
-raising ``CapExceeded`` or failing an assertion, rather than hang.
+decomposition, the truss test and the greedy suspension, repeated
+minimum-degree removal for the degeneracy, every edge subset for
+criticality, neighbour-set recounts for the maximal k-truss and the m
+single-edge peels, plain loops over the residual graph for the witness
+table and the peel's invariant check, a search per level for the bound
+report, for the torus search a candidate list built up front and checked
+on a dense adjacency matrix, and one f-string per row for the row
+writers. None of them calls the code path it checks. The expensive ones
+refuse inputs past their caps, raising ``CapExceeded`` or failing an
+assertion, rather than hang.
 ``vertex_counts`` is no reference: it reads per-vertex counts off the
 production listing, as the library keeps none.
 """
@@ -50,6 +51,20 @@ def min_degree_sum(G):
     average degeneracy."""
     deg = G.degrees.tolist()
     return sum(min(deg[u], deg[v]) for u, v in edge_pairs(G))
+
+
+def min_degree_degeneracy(G, cap=1000):
+    """Degeneracy by removing a vertex of least residual degree, one at a
+    time, each found by recounting every vertex left: the largest residual
+    degree any removed vertex had."""
+    if G.n > cap:
+        raise CapExceeded(f"n={G.n} > {cap}")
+    nbrs, left, worst = adjacency(G), set(G.vertices), 0
+    while left:
+        v = min(left, key=lambda x: len(nbrs[x] & left))
+        worst = max(worst, len(nbrs[v] & left))
+        left.remove(v)
+    return worst
 
 
 def edge_index(G):
@@ -370,6 +385,16 @@ def induced_by_vertices(G, vertex_set):
     remap = {old: new for new, old in enumerate(keep, start=1)}
     pairs = [(remap[u], remap[v]) for u, v in edge_pairs(G) if u in remap and v in remap]
     return Graph([G.labels[v] for v in keep], pairs)
+
+
+def disjoint_union(*graphs):
+    """The graphs side by side, each one's vertices numbered after the
+    previous one's, with decimal labels."""
+    pairs, n = [], 0
+    for g in graphs:
+        pairs += [(u + n, v + n) for u, v in edge_pairs(g)]
+        n += g.n
+    return Graph([str(v) for v in range(1, n + 1)], pairs)
 
 
 def induced_by_edges(G, edge_set):

@@ -26,6 +26,7 @@ from trusskit.peel import TrussLabels, _critical_trials
 
 from .oracles import (
     adjacency,
+    disjoint_union,
     edge_pairs,
     CapExceeded,
     brute_force_triangles,
@@ -251,10 +252,15 @@ def test_bound_report_triangle_free():
 def test_bound_report_flags_corrupted_labels_with_witness():
     g = complete(5)
     labels = truss_decomposition(g)
-    fake = TrussLabels([t + 5 for t in labels.tau], None)
-    report = bound_report(g, fake)
-    assert not report.passed
-    assert all(c.witness for c in report.failures())
+    for bump in (5, 2**40):
+        fake = TrussLabels([t + bump for t in labels.tau], None)
+        report = bound_report(g, fake)
+        assert not report.passed
+        assert all(c.witness for c in report.failures())
+    # bounds past int64 stay exact: 10 triangles, 6 at each of the 5 vertices
+    k, margins = 3 + 2**40, {c.name: c.margin for c in report.checks}
+    assert margins["component_triangle_count"] == 6 * 10 - 4 * (k + 2) * k
+    assert margins["clustering_support"] == 6 - (k + 1) * k // 2
 
 
 def test_bound_report_rejects_truncated_labels():
@@ -281,7 +287,11 @@ def test_bound_report_matches_level_by_level_reference(G, data):
 
 
 def test_bound_report_matches_reference_on_chains_and_cliques():
-    for g in (clique_chain(2, 4), clique_chain(3, 3), complete(7), critical_2truss(9)):
+    # levels 2 to 6 each start a component of their own, level 1 holds no
+    # edge, and the star's edges lie on no level
+    star = from_edges(101, [(1, v) for v in range(2, 102)])
+    union = disjoint_union(*map(complete, range(4, 9)), star)
+    for g in (clique_chain(2, 4), clique_chain(3, 3), complete(7), critical_2truss(9), union):
         tau = truss_decomposition(g).tau
         for bumped in (tau, [t + (e % 3) for e, t in enumerate(tau)]):
             report = bound_report(g, TrussLabels(bumped, None))

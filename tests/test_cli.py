@@ -612,10 +612,9 @@ def test_subcommand_loads_only_what_it_runs(tmp_path, args, loaded):
 
 # every name the package exported when its __init__ imported each module
 EXPORTS = {
-    "graphs": "Graph GraphError ParseError ValidationError DegeneracyReport degeneracy "
-              "from_edges parse_edge_list",
+    "graphs": "Graph GraphError ParseError ValidationError from_edges parse_edge_list",
     "triangles": "TriangleCounts triangle_counts ResourceLimitError",
-    "peel": "TrussLabels k_truss_components truss_decomposition",
+    "peel": "DegeneracyReport TrussLabels degeneracy k_truss_components truss_decomposition",
     "witness": "WitnessConfig WitnessState EnumerationOutcome ResourceLimitError "
                "enumerate_residual init_witness remove_edge truncated_decomposition",
     "generators": "ConstructionReceipt FaceEmbedding InfeasibleError clique_chain "

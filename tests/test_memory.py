@@ -200,6 +200,20 @@ def test_count_only_peak_within_reservation(n):
     assert peak <= _footprint(G, 0), f"peak {peak} over the reservation {_footprint(G, 0)}"
 
 
+def test_bound_report_peak_within_count_only_reservation():
+    # the report counts each listing block into per-vertex slots and keeps
+    # no triangle: K_120 has 280,840 of them, 12 bytes each as int32 rows
+    G = from_edges(120, combinations(range(1, 121), 2))
+    labels = truss_decomposition(G)
+    tracemalloc.start()
+    try:
+        assert bound_report(G, labels).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _footprint(G, 0), f"peak {peak} over the reservation {_footprint(G, 0)}"
+
+
 @pytest.mark.parametrize(
     "make",
     [lambda: from_edges(300, combinations(range(1, 301), 2)), *(make for make, _ in GRAPHS.values())],

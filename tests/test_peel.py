@@ -19,12 +19,14 @@ from trusskit import (
     truss_decomposition,
 )
 from trusskit import peel
-from trusskit.graphs import degeneracy
-from trusskit.peel import _truncation_cap, instrumented_truss_decomposition
+from trusskit.peel import _truncation_cap, degeneracy, instrumented_truss_decomposition
 
 from .oracles import (
+    adjacency,
+    disjoint_union,
     edge_components,
     edge_pairs,
+    min_degree_degeneracy,
     min_degree_sum,
     assert_invariants,
     induced_by_edges,
@@ -247,6 +249,22 @@ def test_tau_upper_bounds(G):
     for t in labels.tau:
         assert (2 * t + 3) ** 2 <= 8 * G.m + 1
         assert t <= dg - 1
+
+
+# frontiers of _SWITCH vertices or more: 200 leaves in round 2, 300 triangle
+# vertices in round 3, the chain's 122 vertices of degree 4 in round 5
+@given(small_graphs())
+@example(from_edges(201, [(1, v) for v in range(2, 202)]))
+@example(disjoint_union(*[complete(3)] * 100, complete(6)))
+@example(clique_chain(3, 40))
+def test_degeneracy_matches_min_degree_oracle(G):
+    rep = degeneracy(G)
+    assert rep.degeneracy == min_degree_degeneracy(G)
+    # the removal order certifies it: no vertex has more neighbours after it
+    pos = {v: i for i, v in enumerate(rep.elimination_order)}
+    assert sorted(pos) == list(G.vertices) and len(rep.elimination_order) == G.n
+    nbrs = adjacency(G)
+    assert all(sum(pos[w] > pos[v] for w in nbrs[v]) <= rep.degeneracy for v in G.vertices)
 
 
 def test_empty_graph():
