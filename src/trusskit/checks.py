@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, ValidationError, from_edges, stable_order
+from .graphs import Graph, ValidationError, stable_order
 from .peel import TrussLabels, _critical_trials, _hook, degeneracy
 from .triangles import _blocks, triangle_counts
 
@@ -145,7 +145,7 @@ def _level_checks(G: Graph, tau: np.ndarray) -> dict[str, BoundCheck]:
     base = np.cumsum(span) - span  # vertex x counts level i's triangles at base[x] + i
     fresh = np.zeros(int(span.sum()), np.int64)
     on = np.flatnonzero(at >= 0)  # a triangle through any other edge is on no level
-    H, at_on = (G if len(on) == G.m else from_edges(G.n, ends[on])), at[on]
+    H, at_on = (G if len(on) == G.m else Graph(G.labels[1:], ends[on])), at[on]
     for opposite, edges in _blocks(H):
         level = np.minimum(np.minimum(at_on[edges[:, 0]], at_on[edges[:, 1]]), at_on[edges[:, 2]])
         for x in opposite.T:

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import checks
 from .graphs import ConstructionError, Graph, InfeasibleError, ValidationError, from_edges
+from .triangles import triangle_counts
 
 
 @dataclass
@@ -127,56 +128,49 @@ def suspend(G: Graph, k: int, added: int, return_receipt: bool = False):
     until none can be dropped, which guarantees true minimality. Apexes are
     never adjacent to each other. If G is a critical k-truss on more than
     k+3 vertices, the result is a critical (k+added)-truss. The output is
-    relabelled 1..n+added (original labels are not carried over).
+    relabelled 1..n+added (original labels are not carried over). One
+    count-only triangle pass, then walks of G's CSR rows: O(n + m) memory.
     """
     if added not in (1, 2):
         raise ValidationError("added must be 1 or 2")
-    if not checks.is_k_truss(G, k):
+    n0, m, target = G.n, G.m, k + added
+    # is_k_truss, keeping the counts: the empty graph is a k-truss
+    per_edge = triangle_counts(G, keep_listing=False).per_edge if n0 and G.degrees[1:].all() else []
+    if n0 and min(per_edge, default=k - 1) < k:
         raise ValidationError("suspend requires the input to be a k-truss")
-    n0 = G.n
-    target = k + added
-    apexes = range(n0 + 1, n0 + added + 1)
-    ptr, nbr = (a.tolist() for a in G.csr[:2])
-    nbrs = [set(nbr[ptr[v] : ptr[v + 1]]) for v in range(n0 + 1)]
-    nbrs += [set(G.vertices) for _ in apexes]
-    for v in G.vertices:
-        nbrs[v].update(apexes)
-    # triangles per edge, keyed (smaller id, larger id); apexes have the
-    # largest ids
-    count = {
-        (u, v): len(nbrs[u] & nbrs[v])
-        for u in range(1, n0 + added + 1)
-        for v in nbrs[u]
-        if u < v
-    }
-    if not all(nbrs[1:]) or min(count.values()) < target:
-        raise ValidationError(
-            f"full suspension is not a {target}-truss; input too sparse"
-        )
+    # Full suspension: edge e of G lies on its own triangles plus one per
+    # apex; apex edge m + a*n0 + v - 1, (v, apex a), lies on deg(v), as
+    # apexes are never adjacent.
+    degrees = G.degrees[1:].tolist()
+    if min(degrees, default=target - 1) < target:
+        raise ValidationError(f"full suspension is not a {target}-truss; input too sparse")
+    count = [c + added for c in per_edge] + degrees * added
+    live, left = [True] * (added * n0), [n0] * added  # apex edges, and per apex
+    ptr, nbr, slot = (a.tolist() for a in G.csr)
     # The current graph is always a target-truss, so dropping the apex edge
     # (v, x) keeps it one exactly when x keeps an edge and every edge that
-    # loses its triangle with (v, x) stays at or above target.
+    # loses its triangle (v, w, x) with it stays at or above target.
     changed = True
     while changed:
         changed = False
-        for x in apexes:
+        for a in range(added):
+            base = a * n0 - 1  # apex edge of v: live[base + v], count[m + base + v]
             for v in G.vertices:
-                if v not in nbrs[x] or len(nbrs[x]) == 1:
+                if not live[base + v] or left[a] == 1:
                     continue
-                common = nbrs[x] & nbrs[v]
-                if any(
-                    count[w, x] <= target or count[min(v, w), max(v, w)] <= target
-                    for w in common
-                ):
+                row = range(ptr[v], ptr[v + 1])
+                lose = [(m + base + nbr[s], slot[s]) for s in row if live[base + nbr[s]]]
+                if any(count[f] <= target or count[g] <= target for f, g in lose):
                     continue
-                nbrs[x].remove(v)
-                nbrs[v].remove(x)
-                del count[v, x]
-                for w in common:
-                    count[w, x] -= 1
-                    count[min(v, w), max(v, w)] -= 1
+                live[base + v] = False
+                left[a] -= 1
+                for f, g in lose:
+                    count[f] -= 1
+                    count[g] -= 1
                 changed = True
-    g = from_edges(n0 + added, sorted(count))
+    apex = np.flatnonzero(live)
+    pairs = np.concatenate([G.ends, np.stack([apex % n0 + 1, apex // n0 + n0 + 1], axis=1)])
+    g = from_edges(n0 + added, pairs[np.lexsort(pairs.T[::-1])])  # in pair order
     receipt = ConstructionReceipt(
         "suspend", n0 + added, g.m, g.n, g.m,
         ["vertex_count", "edge_count", f"is_{target}_truss", "apex_set_minimal"],

@@ -25,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graphs import Graph, stable_order
+from .graphs import Graph, ValidationError, stable_order
 
 DEFAULT_MEM_CAP = 4 * 2**30  # bytes a triangle listing or witness init may allocate
 MEM_CAP_ENV = "TRUSSKIT_MEM_CAP"
@@ -37,9 +37,16 @@ class ResourceLimitError(Exception):
 
 
 def mem_cap() -> int:
-    """Memory budget in bytes: ``TRUSSKIT_MEM_CAP`` if set, else 4 GiB."""
+    """Memory budget in bytes: ``TRUSSKIT_MEM_CAP`` if set, else 4 GiB.
+    ValidationError if it is set to no whole number of bytes, zero or more."""
     env = os.environ.get(MEM_CAP_ENV)
-    return int(env) if env else DEFAULT_MEM_CAP
+    try:
+        cap = int(env) if env else DEFAULT_MEM_CAP
+    except ValueError:
+        cap = -1  # refused below, as a negative cap
+    if cap < 0:
+        raise ValidationError(f"{MEM_CAP_ENV}={env!r} is not a byte count")
+    return cap
 
 
 @dataclass

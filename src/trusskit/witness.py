@@ -92,13 +92,12 @@ class EnumerationOutcome:
 class WitnessState:
     """Mutable decomposition state: random sets, witness table, counts."""
 
-    def __init__(self, G, cfg, L, q, xmat, sets, S, delta, mem_estimate):
+    def __init__(self, G, cfg, L, q, xmat, S, delta, mem_estimate):
         self.G = G
         self.cfg = cfg
         self.L = L
         self.q = q
         self.xmat = xmat  # (n+1, L) bool; row 0 all False
-        self.sets = sets  # sets[v] = indices l with v in X_l
         self.S = S  # (m, L) int64
         self.delta = delta  # (m,) int64, REMOVED sentinel
         self.mem_estimate = mem_estimate  # bytes; upper bound on init's peak
@@ -135,20 +134,21 @@ def _footprint(G: Graph, L: int, heavy: np.ndarray | None) -> int:
     """Upper bound in bytes on what init_witness allocates, as tracemalloc
     counts it (array data plus object and slot overheads).
 
-    Per vertex the bool membership and the membership lists (9L at q = 1;
-    the float64 draw, taken in row blocks of about _DRAW_BLOCK values and
-    so never over 8L per vertex, is freed before the lists exist) and
-    small arrays; per edge the table row and count, and G's CSR with the
-    lists of it that enumeration searches; the triangle listing,
-    keeping no triangles, and a chunk of _INIT_CHUNK pairs, each with
-    index bookkeeping and, per set holding its witness, six int64
-    temporaries. Matrix mode (``heavy`` given) adds one block's copy
-    without its all-heavy triangles, five float64 h x h arrays for h heavy
-    vertices and index arrays over the heavy-heavy edges; its edge-end and
-    per-vertex arrays fit in the listing's share, freed before the products.
+    Per vertex the bool membership and the int64 set ids of its
+    memberships (9L at q = 1; the float64 draw, taken in row blocks of
+    about _DRAW_BLOCK values and so never over 8L per vertex, is freed
+    before the ids exist) and small arrays; per edge the table row and
+    count, and G's CSR with the lists of it that enumeration searches;
+    the triangle listing, keeping no triangles, and a chunk of
+    _INIT_CHUNK pairs, each with index bookkeeping and, per set holding
+    its witness, six int64 temporaries. Matrix mode (``heavy`` given)
+    adds one block's copy without its all-heavy triangles, five float64
+    h x h arrays for h heavy vertices and index arrays over the
+    heavy-heavy edges; its edge-end and per-vertex arrays fit in the
+    listing's share, freed before the products.
     """
     n1, m = G.n + 1, G.m
-    total = 9 * n1 * L + 208 * n1 + 8 * m * L + 200 * m + 65536
+    total = 9 * n1 * L + 88 * n1 + 8 * m * L + 200 * m + 65536
     total += _listing_footprint(G, 0) + _INIT_CHUNK * (48 * L + 160)
     if heavy is not None:
         h = int(np.count_nonzero(heavy))
@@ -213,7 +213,6 @@ def init_witness(G: Graph, cfg: WitnessConfig, _xmat=None) -> WitnessState:
     set_ids %= L
     indptr = np.zeros(n + 2, dtype=np.int64)
     np.cumsum(np.count_nonzero(xmat, axis=1), out=indptr[1:])
-    sets = np.split(set_ids, indptr[1:-1])
     S = np.zeros((m, L), dtype=np.int64)
     delta = np.zeros(m, dtype=np.int64)
     for opposite, edges in _blocks(G):
@@ -227,7 +226,7 @@ def init_witness(G: Graph, cfg: WitnessConfig, _xmat=None) -> WitnessState:
             _flush_pairs(S, delta, indptr, set_ids, es[lo:hi], ws[lo:hi])
     if heavy is not None:
         _add_heavy_triangles(G, xmat, heavy, S, delta)
-    return WitnessState(G, cfg, L, q, xmat, sets, S, delta, needed)
+    return WitnessState(G, cfg, L, q, xmat, S, delta, needed)
 
 
 def _flush_pairs(S, delta, indptr, set_ids, E, W) -> None:
@@ -340,8 +339,7 @@ def remove_edge(
     if delta[e] == REMOVED:
         raise ValidationError(f"edge {e} removed twice")
     u, v = state.G.ends[e].tolist()
-    S = state.S
-    sets = state.sets
+    S, lose_u, lose_v = state.S, state.xmat[u] * u, state.xmat[v] * v  # dense rows
     delta[e] = REMOVED
     affected: list[int] = []
     for w, (f_uw, f_vw) in zip(witnessed.witnesses, witnessed.edges):
@@ -351,8 +349,8 @@ def remove_edge(
             )
         delta[f_uw] -= 1
         delta[f_vw] -= 1
-        S[f_uw, sets[v]] -= v
-        S[f_vw, sets[u]] -= u
+        S[f_uw] -= lose_v
+        S[f_vw] -= lose_u
         affected.append(f_uw)
         affected.append(f_vw)
     return affected

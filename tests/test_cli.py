@@ -540,6 +540,32 @@ def test_listing_over_mem_cap_exits_6(tmp_path, monkeypatch, capsys, args, free_
         assert code == free_exit and out
 
 
+def test_suspend_runs_under_the_cap_that_refuses_the_listing(tmp_path, monkeypatch, capsys):
+    # suspend reads the counts alone: K_30 suspends to K_31 one byte under
+    # the listing estimate that stops `truss`
+    k30 = from_edges(30, combinations(range(1, 31), 2))
+    monkeypatch.setenv("TRUSSKIT_MEM_CAP", str(triangle_counts(k30).mem_estimate - 1))
+    code, out = run_cli(["truss"], tmp_path, k30.serialize())
+    assert code == EXIT_RESOURCE and out == ""
+    args = ["generate", "suspend", "--k", "28", "--added", "1"]
+    code, out = run_cli(args, tmp_path, k30.serialize())
+    assert code == EXIT_OK
+    assert out == from_edges(31, combinations(range(1, 32), 2)).serialize()
+    assert len(out.splitlines()) == 465 and "actual_m\t465" in capsys.readouterr().err
+
+
+def test_malformed_mem_cap_is_a_validation_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TRUSSKIT_MEM_CAP", "4G")
+    code, out = run_cli(["truss"], tmp_path, k5_text())
+    assert code == EXIT_VALIDATION and out == ""
+    err = capsys.readouterr().err
+    assert err == "trusskit: invalid input: TRUSSKIT_MEM_CAP='4G' is not a byte count\n"
+    assert sorted(os.listdir(tmp_path)) == ["in.txt"]  # no output, no temp file
+    monkeypatch.setenv("TRUSSKIT_MEM_CAP", "-1")
+    with pytest.raises(ValidationError, match="TRUSSKIT_MEM_CAP='-1'"):
+        triangle_counts(parse_edge_list(k5_text()))
+
+
 def test_matrix_init_over_muladd_ceiling_exits_6():
     # b = 0.9 makes 2,492 of its 2,500 vertices heavy: 314 dense products,
     # 4.9e12 multiply-adds, refused before the random sets are drawn

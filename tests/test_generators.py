@@ -153,6 +153,21 @@ def test_suspend_rejects_non_truss():
         suspend(path, 1, 1)
 
 
+def test_suspend_refusals_name_their_cause():
+    # inputs the dense oracle's corpus lacks: the empty graph is a k-truss
+    # for every k, but its apexes would have no edge; an isolated vertex
+    # makes the input no k-truss, whatever its triangles
+    isolated = from_edges(4, [(1, 2), (1, 3), (2, 3)])
+    no_truss = "^suspend requires the input to be a k-truss$"
+    for k in (-1, 0, 3):
+        for added in (1, 2):
+            too_sparse = f"^full suspension is not a {k + added}-truss; input too sparse$"
+            with pytest.raises(ValidationError, match=too_sparse):
+                suspend(from_edges(0, []), k, added)
+            with pytest.raises(ValidationError, match=no_truss):
+                suspend(isolated, k, added)
+
+
 def _suspend_cases():
     for n in range(6, 14):
         yield critical_2truss(n), 2

@@ -202,16 +202,23 @@ def test_count_only_peak_within_reservation(n):
 
 def test_bound_report_peak_within_count_only_reservation():
     # the report counts each listing block into per-vertex slots and keeps
-    # no triangle: K_120 has 280,840 of them, 12 bytes each as int32 rows
+    # no triangle: K_120 has 280,840 of them, 12 bytes each as int32 rows.
+    # suspend reads the counts alone and walks CSR rows, building its own
+    # CSR here; each apex keeps 103 edges, the fewest that reach 102
+    # triangles on each
     G = from_edges(120, combinations(range(1, 121), 2))
-    labels = truss_decomposition(G)
-    tracemalloc.start()
-    try:
-        assert bound_report(G, labels).passed
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= _footprint(G, 0), f"peak {peak} over the reservation {_footprint(G, 0)}"
+    labels, fresh = truss_decomposition(G), from_edges(120, G.ends)
+    for name, call in (
+        ("bound_report", lambda: bound_report(G, labels).passed),
+        ("suspend", lambda: suspend(fresh, 100, 2).m == G.m + 2 * 103),
+    ):
+        tracemalloc.start()
+        try:
+            assert call(), name
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _footprint(G, 0), f"{name} peak {peak} over {_footprint(G, 0)}"
 
 
 @pytest.mark.parametrize(
