@@ -5,14 +5,16 @@ Each triangle is listed once by the forward scheme (Chiba & Nishizeki
 of out-edges of a vertex (an out-wedge) closes a triangle if the edge
 between their heads exists. There are O(m * avg degeneracy) out-wedges:
 numpy blocks of about ``_WEDGE_BLOCK`` expand whole out-lists with
-``np.repeat`` and close each wedge by a ``searchsorted`` on the oriented
-edge keys, which ``graphs.stable_order`` sorts. Counting for the peel
-keeps each triangle's edge ids, counts them in one ``bincount`` and
-builds the edge -> triangle incidence from them, and the
-vertex listing keeps each triangle's vertices, both under the memory cap;
-count-only callers keep none, and witness init and the bound report read
-the blocks as they come. Only the vertex readers have the blocks build
-vertex rows.
+``np.repeat``. The oriented edge keys, which ``graphs.stable_order``
+sorts, are hashed once into a direct-mapped table of their positions, so
+a wedge, which mostly does not close, costs one gather and one key
+compare; only the wedges whose slot two keys share fall back to a
+``searchsorted``. Counting for the peel keeps each triangle's edge ids,
+counts them in one ``bincount`` and builds the edge -> triangle incidence
+from them, and the vertex listing keeps each triangle's vertices, both
+under the memory cap; count-only callers keep none, and witness init and
+the bound report read the blocks as they come. Only the vertex readers
+have the blocks build vertex rows.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .graphs import Graph, ValidationError, stable_order
 DEFAULT_MEM_CAP = 4 * 2**30  # bytes a triangle listing or witness init may allocate
 MEM_CAP_ENV = "TRUSSKIT_MEM_CAP"
 _WEDGE_BLOCK = 1 << 13  # out-wedges closed per numpy block
+_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd
 
 
 class ResourceLimitError(Exception):
@@ -85,11 +88,15 @@ class TriangleCounts:
 
 def _footprint(G: Graph, kept: int) -> int:
     """Bytes that listing G and keeping ``kept`` triangles with their
-    incidence may allocate, as tracemalloc counts: arrays per vertex and
-    per edge, a block's temporaries, and per triangle (29 of the 56 bytes)
-    the listing and the incidence's rows, three int32 ids each, the peel's
-    alive byte and the critical trials' int32 kill journal."""
-    return 64 * (G.n + 1) + 80 * G.m + 160 * _WEDGE_BLOCK + 56 * kept + 65536
+    incidence may allocate, as tracemalloc counts: arrays per vertex, per
+    edge eight int64 words and the position table (8-16 bytes), a block's
+    temporaries, and per triangle (29 of the 56 bytes) the listing and the
+    incidence's rows, three int32 ids each, the peel's alive byte and the
+    critical trials' int32 kill journal. Up to seven per-edge words are
+    live as the blocks start, the count-only path's counts among them;
+    the listing path makes its counts after the blocks."""
+    per_edge = 64 * G.m + 4 * _table_slots(G.m)
+    return 64 * (G.n + 1) + per_edge + 160 * _WEDGE_BLOCK + 56 * kept + 65536
 
 
 def _reserve(G: Graph, kept: int) -> int:
@@ -119,28 +126,66 @@ def _blocks(G: Graph, vertices: bool = True) -> Iterator[tuple[np.ndarray | None
     del u, v
     eid = stable_order(keys, n1 * n1)  # edge ids in (src, dst) order: the out-CSR
     keys = keys[eid]
-    src, dst = np.divmod(keys, n1)
+    table, shift = _position_table(keys)
+    src = keys // n1
     # slot s heads the later[s] wedges (s, t), t = s + 1, s + 2, ... in its out-list
-    later = np.cumsum(np.bincount(src, minlength=n1))[src] - 1 - np.arange(m)
+    later = np.cumsum(np.bincount(src, minlength=n1))[src]
+    del src
+    later -= np.arange(1, m + 1)
+    dst = keys % n1
     for s, t in _runs(np.arange(1, m + 1), later, _WEDGE_BLOCK):
         close = dst[s] * n1 + dst[t]
-        at = np.minimum(np.searchsorted(keys, close), m - 1)
+        at = table[_slots(close, shift)]
+        shared = np.flatnonzero(at == -2)
+        at[shared] = np.minimum(np.searchsorted(keys, close[shared]), m - 1)
+        # an empty slot (-1) reads the last key, which is not ``close``
         hit = np.flatnonzero(keys[at] == close)  # indices gather faster than a random mask
         s, t, at = s[hit], t[hit], at[hit]
-        opposite = by_rank[np.stack([dst[t], dst[s], src[s]], axis=1)] if vertices else None
+        opposite = by_rank[np.stack([dst[t], dst[s], keys[s] // n1], axis=1)] if vertices else None
         yield opposite, eid[np.stack([s, t, at], axis=1)]
+
+
+def _slots(keys: np.ndarray, shift: np.uint64) -> np.ndarray:
+    """Slots of int64 ``keys`` in a table of 2^(64 - shift): the top bits
+    of key * ``_HASH_MULT`` mod 2^64 (Fibonacci hashing), one new array."""
+    slots = keys.view(np.uint64) * _HASH_MULT
+    slots >>= shift
+    return slots.view(np.int64)
+
+
+def _table_slots(m: int) -> int:
+    """Slots of the position table over m keys: 2^ceil(log2 2m), 2 to 4 per key."""
+    return 1 << (2 * m - 1).bit_length()
+
+
+def _position_table(keys: np.ndarray) -> tuple[np.ndarray, np.uint64]:
+    """Direct-mapped int32 table over sorted ``keys`` and its ``_slots``
+    shift: each slot holds the position of the one key hashed to it, -1
+    if none is and -2 if two or more share it."""
+    size = _table_slots(len(keys))
+    shift = np.uint64(65 - size.bit_length())
+    table = np.full(size, -1, np.int32)
+    at, pos = _slots(keys, shift), np.arange(len(keys), dtype=np.int32)
+    table[at] = pos  # one key of a shared slot wins it, the others then mark it
+    table[at[table[at] != pos]] = -2
+    return table, shift
 
 
 def _runs(first: np.ndarray, size: np.ndarray, chunk: int) -> Iterator[tuple[np.ndarray, ...]]:
     """Yield the run i and the value ``first[i] + j`` of each j < ``size[i]``
-    (``size`` non-empty), in chunks of about ``chunk`` values cut at run bounds."""
-    ends = np.cumsum(size)
-    offset = first - ends + size  # a run's first value minus its first position
-    cuts = np.searchsorted(ends, range(chunk, int(ends[-1]), chunk), side="right").tolist()
+    (``size`` non-empty), in chunks of about ``chunk`` values cut at run
+    bounds. Besides ``size`` it keeps one value per run and drops ``first``."""
+    offset = np.cumsum(size)  # each run's end position, for now
+    cuts = np.searchsorted(offset, range(chunk, int(offset[-1]), chunk), side="right").tolist()
+    offset -= size
+    np.subtract(first, offset, out=offset)  # a run's first value minus its first position
+    del first
+    lo = 0  # the chunk's first position
     for a, b in zip([0, *cuts], [*cuts, len(size)]):
         if a < b:
             run = np.repeat(np.arange(a, b), size[a:b])
-            yield run, np.arange(ends[a] - size[a], ends[b - 1]) + offset[run]
+            yield run, np.arange(lo, lo + len(run)) + offset[run]
+            lo += len(run)
 
 
 def triangle_vertices(G: Graph) -> np.ndarray:
@@ -165,8 +210,8 @@ def triangle_counts(G: Graph, *, keep_listing: bool = True) -> TriangleCounts:
     triangles kept, not wedges, over the cap; without the listing only
     the fixed part is reserved."""
     need = _reserve(G, 0)
-    per_edge = np.zeros(G.m, dtype=np.int64)
     listing = array("i") if keep_listing else None
+    per_edge = None if keep_listing else np.zeros(G.m, dtype=np.int64)
     total = 0
     for _, edges in _blocks(G, vertices=False):
         total += len(edges)
@@ -175,8 +220,18 @@ def triangle_counts(G: Graph, *, keep_listing: bool = True) -> TriangleCounts:
             listing.frombytes(edges.astype(np.int32).view(np.uint8))
         else:
             np.add.at(per_edge, edges.ravel(), 1)  # O(block) work, a bincount O(m)
-    per_edge = np.bincount(np.frombuffer(listing, np.int32), minlength=G.m) if listing else per_edge
+    if listing is not None:
+        per_edge = np.bincount(np.frombuffer(listing, np.int32), minlength=G.m)
     return TriangleCounts(per_edge.tolist(), total, listing, need)
+
+
+def out_wedges(G: Graph) -> int:
+    """Out-wedges of the forward scheme, which bound its triangles: pairs
+    of edges leaving one vertex, each edge leaving its ``ordered_endpoints``
+    scan side."""
+    d, (u, v) = G.degrees, G.ends.T  # u < v, so ties leave u
+    out = np.bincount(np.where(d[u] <= d[v], u, v), minlength=G.n + 1)
+    return int((out * (out - 1) // 2).sum())
 
 
 def ordered_endpoints(G: Graph, e: int) -> tuple[int, int]:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .graphs import Graph, ValidationError
 from .peel import REMOVED, TrussLabels, _check_k_trunc, _peel
-from .triangles import MEM_CAP_ENV, ResourceLimitError, mem_cap, ordered_endpoints
+from .triangles import MEM_CAP_ENV, ResourceLimitError, mem_cap, ordered_endpoints, out_wedges
 from .triangles import _WEDGE_BLOCK, _blocks, _footprint as _listing_footprint
 
 DEFAULT_SEED = 1729
@@ -141,15 +141,18 @@ def _footprint(G: Graph, L: int, heavy: np.ndarray | None) -> int:
     count, and G's CSR with the lists of it that enumeration searches;
     the triangle listing, keeping no triangles, and a chunk of
     _INIT_CHUNK pairs, each with index bookkeeping and, per set holding
-    its witness, six int64 temporaries. Matrix mode (``heavy`` given)
-    adds one block's copy without its all-heavy triangles, five float64
+    its witness, six int64 temporaries. A chunk holds no more pairs than
+    three per out-wedge of G, as each out-wedge closes at most one
+    triangle, so a star, with none, is charged for none. Matrix mode
+    (``heavy`` given) adds one block's copy without its all-heavy
+    triangles, five float64
     h x h arrays for h heavy vertices and index arrays over the
     heavy-heavy edges; its edge-end and per-vertex arrays fit in the
     listing's share, freed before the products.
     """
     n1, m = G.n + 1, G.m
     total = 9 * n1 * L + 88 * n1 + 8 * m * L + 200 * m + 65536
-    total += _listing_footprint(G, 0) + _INIT_CHUNK * (48 * L + 160)
+    total += _listing_footprint(G, 0) + min(_INIT_CHUNK, 3 * out_wedges(G)) * (48 * L + 160)
     if heavy is not None:
         h = int(np.count_nonzero(heavy))
         total += 56 * _WEDGE_BLOCK + 40 * h * h + 64 * min(m, h * (h - 1) // 2)

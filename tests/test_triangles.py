@@ -15,7 +15,7 @@ from trusskit import (
     triangle_counts,
 )
 from trusskit import triangles
-from trusskit.triangles import ordered_endpoints, triangle_vertices
+from trusskit.triangles import ordered_endpoints, out_wedges, triangle_vertices
 
 from .oracles import (
     adjacency,
@@ -133,11 +133,20 @@ def degree_ties():
     return from_edges(13, pairs)
 
 
-def most_wedges_at_one_vertex(G):
-    """Out-wedges of the busiest vertex when edges point up (degree, id)."""
+def out_wedge_counts(G):
+    """Out-wedges at each vertex when edges point up (degree, id)."""
     rank, nbrs = {v: (G.degrees[v], v) for v in G.vertices}, adjacency(G)
     outs = [sum(rank[w] > rank[v] for w in nbrs[v]) for v in G.vertices]
-    return max((d * (d - 1) // 2 for d in outs), default=0)
+    return [d * (d - 1) // 2 for d in outs]
+
+
+def most_wedges_at_one_vertex(G):
+    return max(out_wedge_counts(G), default=0)
+
+
+@given(small_graphs())
+def test_out_wedges_bound_the_triangles(G):
+    assert out_wedges(G) == sum(out_wedge_counts(G)) >= triangle_counts(G).total
 
 
 def check_listing(G):
@@ -152,6 +161,9 @@ def check_listing(G):
 
 
 BLOCKS = (1, 7)  # one wedge per block, and a small prime
+# the Fibonacci multiplier, and 0, which hashes every key to one shared
+# slot so that every wedge closes by the sorted-key search
+HASHES = (triangles._HASH_MULT, np.uint64(0))
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -162,7 +174,9 @@ BLOCKS = (1, 7)  # one wedge per block, and a small prime
 )
 def test_listing_across_block_boundaries(G, block, monkeypatch):
     monkeypatch.setattr(triangles, "_WEDGE_BLOCK", block)
-    check_listing(G)
+    for mult in HASHES:
+        monkeypatch.setattr(triangles, "_HASH_MULT", mult)
+        check_listing(G)
 
 
 def test_one_vertex_spans_several_blocks():
@@ -173,15 +187,37 @@ def test_one_vertex_spans_several_blocks():
 @given(small_graphs())
 def test_listing_across_block_boundaries_on_small_graphs(G):
     for block in BLOCKS:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(triangles, "_WEDGE_BLOCK", block)
-            check_listing(G)
+        for mult in HASHES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(triangles, "_WEDGE_BLOCK", block)
+                mp.setattr(triangles, "_HASH_MULT", mult)
+                check_listing(G)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 1000, 1025])
+def test_position_table_holds_each_lone_key(m):
+    keys = np.sort(np.random.default_rng(m).choice(1 << 40, m, replace=False))
+    table, shift = triangles._position_table(keys)
+    assert len(table) == triangles._table_slots(m) >= 2 * m
+    slots = triangles._slots(keys, shift)
+    assert slots.min() >= 0 and slots.max() < len(table)
+    share = np.bincount(slots, minlength=len(table))
+    assert (table[share == 0] == -1).all()
+    assert (table[share > 1] == -2).all()
+    lone = share[slots] == 1
+    assert (table[slots[lone]] == np.flatnonzero(lone)).all()
 
 
 @pytest.mark.parametrize(
     "g",
-    [skewed(400, 3000, seed=4), complete(40), star(300), gnp_random(80, 0.2, seed=6)],
-    ids=["skewed", "K40", "star", "gnp"],
+    [
+        skewed(400, 3000, seed=4),
+        complete(40),
+        star(300),
+        gnp_random(80, 0.2, seed=6),
+        skewed(600, 2**12 + 1, seed=4),  # 16 bytes of position table per edge
+    ],
+    ids=["skewed", "K40", "star", "gnp", "skewed-past-2^12"],
 )
 def test_listing_peak_within_mem_estimate(g, monkeypatch):
     tracemalloc.start()
