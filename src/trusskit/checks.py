@@ -30,7 +30,7 @@ def is_k_truss(G: Graph, k: int) -> bool:
         return True
     if not G.degrees[1:].all():
         return False
-    return min(triangle_counts(G, keep_listing=False).per_edge) >= k
+    return int(triangle_counts(G, keep_listing=False).per_edge.min()) >= k
 
 
 def is_critical_k_truss(G: Graph, k: int) -> bool:
@@ -45,7 +45,7 @@ def is_critical_k_truss(G: Graph, k: int) -> bool:
     if G.m == 0 or not G.degrees[1:].all():
         return False
     counts = triangle_counts(G)
-    return min(counts.per_edge) >= k and _critical_trials(counts, k)[0]
+    return int(counts.per_edge.min()) >= k and _critical_trials(counts, k)[0]
 
 
 # -- bound report ------------------------------------------------------------

@@ -113,9 +113,9 @@ def _read_graph(ns: argparse.Namespace) -> Graph:
 
 def _write_edge_rows(G: Graph, codes, out, name=str) -> None:
     """Write a "u v value" TSV row per edge e, in ``G.pair_order``, whose
-    value is ``name(codes[e])``, skipping the edges whose code is -1. The
-    values are formatted once each, for the codes 0..max(codes)."""
-    codes = np.asarray(codes, np.int64)
+    value is ``name(codes[e])`` (int64 ``codes``), skipping the edges
+    whose code is -1. The values are formatted once each, for the codes
+    0..max(codes)."""
     lab = [label + "\t" for label in G.labels]
     values = [f"{name(code)}\n" for code in range(codes.max(initial=-1) + 1)]
     rows = [(lab, G.ends[:, 0]), (lab, G.ends[:, 1]), (values, codes)]
@@ -262,7 +262,7 @@ def _cmd_bench(ns, G, out):
     out.write(f"scan_steps\t{stats.scan_steps}\n")
     out.write(f"m_times_avg_degeneracy\t{m_dbar}\n")
     out.write(f"scan_ratio\t{ratio:.4f}\n")
-    out.write(f"max_tau\t{max(labels.tau) if labels.tau else 0}\n")
+    out.write(f"max_tau\t{int(labels.tau.max(initial=0))}\n")
     if ns.k_trunc is not None and G.m:
         from . import witness
         wc = witness.WitnessConfig(ns.k_trunc, seed=ns.seed)

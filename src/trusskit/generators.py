@@ -135,8 +135,8 @@ def suspend(G: Graph, k: int, added: int, return_receipt: bool = False):
         raise ValidationError("added must be 1 or 2")
     n0, m, target = G.n, G.m, k + added
     # is_k_truss, keeping the counts: the empty graph is a k-truss
-    per_edge = triangle_counts(G, keep_listing=False).per_edge if n0 and G.degrees[1:].all() else []
-    if n0 and min(per_edge, default=k - 1) < k:
+    per_edge = triangle_counts(G, keep_listing=False).per_edge if n0 and G.degrees[1:].all() else None
+    if n0 and (per_edge is None or per_edge.min() < k):
         raise ValidationError("suspend requires the input to be a k-truss")
     # Full suspension: edge e of G lies on its own triangles plus one per
     # apex; apex edge m + a*n0 + v - 1, (v, apex a), lies on deg(v), as
@@ -144,7 +144,7 @@ def suspend(G: Graph, k: int, added: int, return_receipt: bool = False):
     degrees = G.degrees[1:].tolist()
     if min(degrees, default=target - 1) < target:
         raise ValidationError(f"full suspension is not a {target}-truss; input too sparse")
-    count = [c + added for c in per_edge] + degrees * added
+    count = (per_edge + added).tolist() + degrees * added
     live, left = [True] * (added * n0), [n0] * added  # apex edges, and per apex
     ptr, nbr, slot = (a.tolist() for a in G.csr)
     # The current graph is always a target-truss, so dropping the apex edge

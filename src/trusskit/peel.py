@@ -18,6 +18,7 @@ truncated decomposition is the same peel stopped after round k_trunc;
 the witness engine in ``witness`` runs those rounds with a stack step
 that reads its table instead. Core decomposition is the vertex form of the
 same peel, over residual degrees, with steps that walk the CSR rows.
+Counts and labels pass between the phases as int64 arrays, not lists.
 Each decomposition is a single-threaded state machine; the input Graph is
 only read, so decompositions of different graphs can run concurrently.
 """
@@ -43,26 +44,24 @@ _SWITCH, _GATHER = 64, 1 << 14
 class TrussLabels:
     """Per-edge trussness.
 
-    ``tau[e]`` is exact below ``truncated_at``; an edge labelled
+    ``tau[e]``, int64, is exact below ``truncated_at``; an edge labelled
     ``truncated_at`` only has the lower bound "tau >= truncated_at". Full
     decompositions have ``truncated_at`` None, and every label exact.
     """
 
-    tau: list[int]
+    tau: np.ndarray
     truncated_at: int | None = None
 
     @property
     def exact(self) -> list[bool]:
         """Per edge, whether ``tau[e]`` is exact rather than a lower bound."""
         k = self.truncated_at
-        return [k is None or t < k for t in self.tau]
+        return [True] * len(self.tau) if k is None else (self.tau < k).tolist()
 
     def histogram(self) -> dict[int, int]:
         """Exact-tau value -> edge count (lower-bound edges keyed by bound)."""
-        hist: dict[int, int] = {}
-        for t in self.tau:
-            hist[t] = hist.get(t, 0) + 1
-        return dict(sorted(hist.items()))
+        counts = np.bincount(self.tau)
+        return {t: int(counts[t]) for t in np.flatnonzero(counts).tolist()}
 
 
 @dataclass
@@ -96,14 +95,13 @@ def instrumented_truss_decomposition(
     if k_trunc is not None:
         _check_k_trunc(k_trunc, m)
     if m == 0:
-        return TrussLabels([], k_trunc), PeelStats()
-    counts = triangle_counts(G)
-    delta = array("q", counts.per_edge)
+        return TrussLabels(np.zeros(0, np.int64), k_trunc), PeelStats()
+    delta, *steps = _triangle_steps(triangle_counts(G))  # the counts go before the peel
     top = np.frombuffer(delta, np.int64).max  # the largest residual count
     k_stop = k_trunc or min(isqrt(2 * m), int(top()) + 1)
-    tau, stats = _peel(delta, k_stop, *_triangle_steps(delta, counts))
+    tau, stats = _peel(delta, k_stop, *steps)
     assert k_trunc or top() == REMOVED, "peeling failed to remove every edge"
-    return TrussLabels(tau.tolist(), k_trunc), stats
+    return TrussLabels(np.frombuffer(tau, np.int64), k_trunc), stats
 
 
 def _truncation_cap(m: int) -> int:
@@ -171,12 +169,15 @@ def _peel(delta, k_stop, remove, bulk=None, check=lambda *_: None) -> tuple[arra
     return tau, PeelStats(rounds=k, stack_pushes=pops, scan_steps=scans, removal_steps=steps)
 
 
-def _triangle_steps(delta: array, counts: TriangleCounts):
-    """``(remove, bulk)``, the steps that kill each live triangle through the
-    removed edges once, one step a kill, so a whole peel takes at most T
-    steps. ``remove`` walks one edge's row of the edge -> triangle incidence;
-    ``bulk`` gathers the frontier's rows and decrements each survivor by its kills."""
-    (ptr, tri), listing = counts.incidence, counts.listing
+def _triangle_steps(counts: TriangleCounts):
+    """``(delta, remove, bulk)``: an ``array("q")`` copy of the counts, and
+    the steps that kill each live triangle through the removed edges once,
+    one step a kill, so a whole peel takes at most T steps. ``remove``
+    walks one edge's row of the edge -> triangle incidence; ``bulk``
+    gathers the frontier's rows and decrements each survivor by its kills."""
+    (ptr, tri), listing = counts.incidence, counts.listing  # delta then reuses its sort's room
+    delta = array("q")
+    delta.frombytes(counts.per_edge.view(np.uint8))
     alive = bytearray(b"\x01") * counts.total
     rows, ids = np.frombuffer(ptr, np.int64), np.frombuffer(tri, np.int32)
     edges_of = np.frombuffer(listing, np.int32).reshape(-1, 3)
@@ -216,7 +217,7 @@ def _triangle_steps(delta: array, counts: TriangleCounts):
             crossed.append(f[(live_count[f] < k) & (live_count[f] + c >= k)])
         return steps, np.concatenate(crossed)
 
-    return remove, bulk
+    return delta, remove, bulk
 
 
 @dataclass
@@ -290,7 +291,7 @@ def _critical_trials(counts: TriangleCounts, k: int) -> tuple[bool, int]:
     listing, and the number of triangles its trials killed. Each trial
     drains breadth-first and rolls back only the triangles it killed; as
     every count starts at k or more, each removed edge is queued once."""
-    (ptr, tri), listing, base = counts.incidence, counts.listing, counts.per_edge
+    (ptr, tri), listing, base = counts.incidence, counts.listing, counts.per_edge.tolist()
     delta, alive = list(base), bytearray(b"\x01") * counts.total
     empties = bytearray(len(base))  # edges whose trial emptied G
     killed = array("i")

@@ -8,10 +8,12 @@ numpy blocks of about ``_WEDGE_BLOCK`` expand whole out-lists with
 ``np.repeat``. The oriented edge keys, which ``graphs.stable_order``
 sorts, are hashed once into a direct-mapped table of their positions, so
 a wedge, which mostly does not close, costs one gather and one key
-compare; only the wedges whose slot two keys share fall back to a
-``searchsorted``. Counting for the peel keeps each triangle's edge ids,
-counts them in one ``bincount`` and builds the edge -> triangle incidence
-from them, and the vertex listing keeps each triangle's vertices, both
+compare. The keys whose slot two keys share are hashed again, under
+another multiplier, into a spare table; only the wedges whose spare slot
+is shared too fall back to a ``searchsorted``. Counting for the peel
+keeps each triangle's edge ids, counts them in one ``bincount`` and
+builds the edge -> triangle incidence from them with one sort, and the
+vertex listing keeps each triangle's vertices, both
 under the memory cap; count-only callers keep none, and witness init and
 the bound report read the blocks as they come. Only the vertex readers
 have the blocks build vertex rows.
@@ -56,13 +58,13 @@ def mem_cap() -> int:
 class TriangleCounts:
     """Exact triangle counts.
 
-    ``per_edge[e]`` counts triangles through edge e and sums to three
-    times ``total``. From ``triangle_counts``, ``listing[3t:3t + 3]`` holds
-    triangle t's edge ids, if kept, and ``mem_estimate`` bounds the bytes
-    of listing and incidence.
+    ``per_edge``, an int64 array, counts at e the triangles through edge e
+    and sums to three times ``total``. From ``triangle_counts``,
+    ``listing[3t:3t + 3]`` holds triangle t's edge ids, if kept, and
+    ``mem_estimate`` bounds the bytes of listing and incidence.
     """
 
-    per_edge: list[int]
+    per_edge: np.ndarray
     total: int
     listing: array | None = field(default=None, repr=False, compare=False)
     mem_estimate: int = field(default=0, repr=False, compare=False)
@@ -70,32 +72,33 @@ class TriangleCounts:
     @cached_property
     def incidence(self) -> tuple[array, array]:
         """Edge -> triangle CSR ``(ptr, tri)``: the triangles through edge
-        e are ``tri[ptr[e]:ptr[e + 1]]``, ascending. A counting sort of the
-        listing's edge ids, radix-sorted and placed a block at a time."""
-        ids, tri = np.frombuffer(self.listing, np.int32), array("i", [0]) * len(self.listing)
+        e are ``tri[ptr[e]:ptr[e + 1]]``, ascending, the low words of the
+        int64 keys ``edge << 32 | triangle`` of the listed ids, sorted in place."""
         ptr = array("q", [0]) * (len(self.per_edge) + 1)
-        np.cumsum(np.bincount(ids, minlength=len(ptr) - 1), out=np.frombuffer(ptr, np.int64)[1:])
-        rows, fill = np.frombuffer(tri, np.int32), np.array(ptr[:-1])  # each row's next slot
-        for lo in range(0, len(ids), _WEDGE_BLOCK):
-            order = stable_order(ids[lo : lo + _WEDGE_BLOCK], len(fill))
-            e = ids[lo + order]
-            first = np.flatnonzero(np.diff(e, prepend=-1))
-            size = np.diff(first, append=len(e))
-            rows[np.repeat(fill[e[first]] - first, size) + np.arange(len(e))] = (lo + order) // 3
-            fill[e[first]] += size
+        np.cumsum(self.per_edge, out=np.frombuffer(ptr, np.int64)[1:])
+        key = np.frombuffer(self.listing, np.int32).astype(np.int64).reshape(-1, 3)
+        key <<= 32
+        key |= np.arange(self.total)[:, None]  # row t holds triangle t's ids
+        key = key.ravel()
+        key.sort()
+        key &= 0xFFFFFFFF
+        tri = array("i", [0]) * len(key)
+        np.frombuffer(tri, np.int32)[:] = key
         return ptr, tri
 
 
 def _footprint(G: Graph, kept: int) -> int:
     """Bytes that listing G and keeping ``kept`` triangles with their
     incidence may allocate, as tracemalloc counts: arrays per vertex, per
-    edge eight int64 words and the position table (8-16 bytes), a block's
-    temporaries, and per triangle (29 of the 56 bytes) the listing and the
-    incidence's rows, three int32 ids each, the peel's alive byte and the
-    critical trials' int32 kill journal. Up to seven per-edge words are
-    live as the blocks start, the count-only path's counts among them;
-    the listing path makes its counts after the blocks."""
-    per_edge = 64 * G.m + 4 * _table_slots(G.m)
+    edge eight int64 words and two position tables (4-8 bytes, and 8-16
+    for the spare one if every key shares a slot), a block's temporaries,
+    and per triangle 56 bytes: the listing's three int32 ids with the
+    incidence's int64 sort keys and int32 rows (48), later the listing,
+    the rows, the peel's alive byte and the critical trials' int32 kill
+    journal (29). Up to seven per-edge words are live as the blocks start,
+    the count-only path's counts among them; the listing path makes its
+    counts after the blocks."""
+    per_edge = 64 * G.m + 4 * (_table_slots(G.m) + _table_slots(2 * G.m))
     return 64 * (G.n + 1) + per_edge + 160 * _WEDGE_BLOCK + 56 * kept + 65536
 
 
@@ -126,18 +129,24 @@ def _blocks(G: Graph, vertices: bool = True) -> Iterator[tuple[np.ndarray | None
     del u, v
     eid = stable_order(keys, n1 * n1)  # edge ids in (src, dst) order: the out-CSR
     keys = keys[eid]
-    table, shift = _position_table(keys)
+    table, shift, crowd = _position_table(keys, np.arange(m, dtype=np.int32))
+    spare, spare_shift, _ = _position_table(keys[crowd], crowd, rehash=True)
+    del crowd
     src = keys // n1
     # slot s heads the later[s] wedges (s, t), t = s + 1, s + 2, ... in its out-list
     later = np.cumsum(np.bincount(src, minlength=n1))[src]
     del src
     later -= np.arange(1, m + 1)
-    dst = keys % n1
+    dst = (keys % n1).astype(np.int32)
     for s, t in _runs(np.arange(1, m + 1), later, _WEDGE_BLOCK):
-        close = dst[s] * n1 + dst[t]
+        close = dst[s].astype(np.int64) * n1 + dst[t]
         at = table[_slots(close, shift)]
-        shared = np.flatnonzero(at == -2)
-        at[shared] = np.minimum(np.searchsorted(keys, close[shared]), m - 1)
+        shared = np.flatnonzero(at == -2)  # their keys have a spare slot each, or share one
+        ask = close[shared]
+        again = spare[_slots(ask, spare_shift, rehash=True)]
+        worst = np.flatnonzero(again == -2)
+        again[worst] = np.minimum(np.searchsorted(keys, ask[worst]), m - 1)
+        at[shared] = again
         # an empty slot (-1) reads the last key, which is not ``close``
         hit = np.flatnonzero(keys[at] == close)  # indices gather faster than a random mask
         s, t, at = s[hit], t[hit], at[hit]
@@ -145,30 +154,33 @@ def _blocks(G: Graph, vertices: bool = True) -> Iterator[tuple[np.ndarray | None
         yield opposite, eid[np.stack([s, t, at], axis=1)]
 
 
-def _slots(keys: np.ndarray, shift: np.uint64) -> np.ndarray:
+def _slots(keys: np.ndarray, shift: np.uint64, rehash: bool = False) -> np.ndarray:
     """Slots of int64 ``keys`` in a table of 2^(64 - shift): the top bits
-    of key * ``_HASH_MULT`` mod 2^64 (Fibonacci hashing), one new array."""
+    of key * ``_HASH_MULT`` mod 2^64 (Fibonacci hashing), or of key *
+    ``_HASH_MULT``^2 to ``rehash``, one new array."""
     slots = keys.view(np.uint64) * _HASH_MULT
+    if rehash:
+        slots *= _HASH_MULT
     slots >>= shift
     return slots.view(np.int64)
 
 
 def _table_slots(m: int) -> int:
-    """Slots of the position table over m keys: 2^ceil(log2 2m), 2 to 4 per key."""
-    return 1 << (2 * m - 1).bit_length()
+    """Slots of a position table over m keys: 2^ceil(log2 m), at least 2."""
+    return 1 << max(m - 1, 1).bit_length()
 
 
-def _position_table(keys: np.ndarray) -> tuple[np.ndarray, np.uint64]:
-    """Direct-mapped int32 table over sorted ``keys`` and its ``_slots``
-    shift: each slot holds the position of the one key hashed to it, -1
-    if none is and -2 if two or more share it."""
-    size = _table_slots(len(keys))
+def _position_table(keys: np.ndarray, pos: np.ndarray, rehash: bool = False) -> tuple:
+    """Direct-mapped int32 table over ``keys``, its ``_slots`` shift and the
+    ``pos`` of the keys whose slot is shared: a slot holds the int32 ``pos``
+    of the one key hashed to it, -1 if none is and -2 if more are."""
+    size = _table_slots(len(keys) << rehash)  # 1-2 slots per key, 2-4 in the spare table
     shift = np.uint64(65 - size.bit_length())
     table = np.full(size, -1, np.int32)
-    at, pos = _slots(keys, shift), np.arange(len(keys), dtype=np.int32)
+    at = _slots(keys, shift, rehash)
     table[at] = pos  # one key of a shared slot wins it, the others then mark it
     table[at[table[at] != pos]] = -2
-    return table, shift
+    return table, shift, pos[table[at] == -2]
 
 
 def _runs(first: np.ndarray, size: np.ndarray, chunk: int) -> Iterator[tuple[np.ndarray, ...]]:
@@ -222,7 +234,7 @@ def triangle_counts(G: Graph, *, keep_listing: bool = True) -> TriangleCounts:
             np.add.at(per_edge, edges.ravel(), 1)  # O(block) work, a bincount O(m)
     if listing is not None:
         per_edge = np.bincount(np.frombuffer(listing, np.int32), minlength=G.m)
-    return TriangleCounts(per_edge.tolist(), total, listing, need)
+    return TriangleCounts(per_edge, total, listing, need)
 
 
 def out_wedges(G: Graph) -> int:

@@ -370,7 +370,7 @@ def truncated_decomposition(G: Graph, cfg: WitnessConfig) -> TrussLabels:
     """
     _check_k_trunc(cfg.k_trunc, G.m)
     if G.m == 0:
-        return TrussLabels([], cfg.k_trunc)
+        return TrussLabels(np.zeros(0, np.int64), cfg.k_trunc)
     return run_rounds(init_witness(G, cfg))
 
 
@@ -388,4 +388,4 @@ def run_rounds(state: WitnessState) -> TrussLabels:
         return len(affected)
 
     tau, _ = _peel(delta, k_trunc, remove)
-    return TrussLabels(tau.tolist(), k_trunc)
+    return TrussLabels(np.frombuffer(tau, np.int64), k_trunc)

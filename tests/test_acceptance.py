@@ -52,7 +52,7 @@ def test_criterion_1_exact_oracle_equivalence(corpus, peel_cache):
     for key, g in corpus:
         labels, _ = peel_cache.get(key, g)
         oracle = oracle_truss_decomposition(g)
-        if labels.tau != oracle.tau:
+        if labels.tau.tolist() != oracle.tau:
             mismatches += 1
     elapsed = time.perf_counter() - t0
     report(
@@ -68,7 +68,7 @@ def test_criterion_2_truncated_equivalence(corpus, peel_cache):
     skipped = 0
     runs = 0
     for key, g in corpus:
-        full = peel_cache.get(key, g)[0].tau
+        full = peel_cache.get(key, g)[0].tau.tolist()
         for k_trunc in (1, 2, 3, 5):
             if k_trunc > _truncation_cap(g.m):
                 skipped += 1  # config invalid for very sparse draws
@@ -81,11 +81,11 @@ def test_criterion_2_truncated_equivalence(corpus, peel_cache):
                     g, WitnessConfig(k_trunc=k_trunc, seed=seed)
                 )
                 runs += 1
-                if labels.tau != want_tau or labels.exact != want_exact:
+                if labels.tau.tolist() != want_tau or labels.exact != want_exact:
                     mismatches += 1
                 if first is None:
-                    first = (labels.tau, labels.exact)
-                elif (labels.tau, labels.exact) != first:
+                    first = (labels.tau.tolist(), labels.exact)
+                elif (labels.tau.tolist(), labels.exact) != first:
                     seed_dependent += 1
     report(
         "criterion 2: truncated labels equal clamped peeler, seed-independent",
@@ -128,7 +128,7 @@ def test_criterion_3_triangle_correctness(corpus):
             from_stream[eid[a, c]] += 1
         ok = (
             fast.total == ref.total
-            and fast.per_edge == ref.per_edge
+            and fast.per_edge.tolist() == ref.per_edge
             and total == ref.total
             and from_stream == ref.per_edge
             and len(emitted) == len(set(emitted))

@@ -123,7 +123,7 @@ def test_critical_2truss_is_critical():
 
 def test_critical_2truss_every_edge_two_triangles():
     g = critical_2truss(6)
-    assert triangle_counts(g).per_edge == [2] * g.m
+    assert triangle_counts(g).per_edge.tolist() == [2] * g.m
 
 
 def test_critical_2truss_too_small():

@@ -5,6 +5,7 @@ from functools import partial
 from itertools import combinations
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -46,17 +47,25 @@ def bowtie():
 
 
 def test_k5_all_three():
-    assert truss_decomposition(complete(5)).tau == [3] * 10
+    assert truss_decomposition(complete(5)).tau.tolist() == [3] * 10
 
 
 def test_clique_chain_all_two():
-    assert truss_decomposition(clique_chain(2, 2)).tau == [2] * 12
+    assert truss_decomposition(clique_chain(2, 2)).tau.tolist() == [2] * 12
 
 
 def test_bowtie_and_star():
-    assert truss_decomposition(bowtie()).tau == [1] * 6
+    assert truss_decomposition(bowtie()).tau.tolist() == [1] * 6
     star = from_edges(6, [(1, i) for i in range(2, 7)])
-    assert truss_decomposition(star).tau == [0] * 5
+    assert truss_decomposition(star).tau.tolist() == [0] * 5
+
+
+@pytest.mark.parametrize("g", [complete(5), bowtie(), from_edges(0, [])], ids=["K5", "bowtie", "empty"])
+def test_labels_are_int64_arrays(g):
+    for k_trunc in (None, 1, 3):
+        tau = truss_decomposition(g, k_trunc=k_trunc).tau
+        assert isinstance(tau, np.ndarray) and tau.dtype == np.int64
+        assert tau.shape == (g.m,)
 
 
 def test_full_labels_are_exact():
@@ -67,12 +76,12 @@ def test_full_labels_are_exact():
 def test_oracle_equivalence_random():
     for seed in range(30):
         g = gnp_random(25, 0.35, seed=seed)
-        assert truss_decomposition(g).tau == oracle_truss_decomposition(g).tau
+        assert truss_decomposition(g).tau.tolist() == oracle_truss_decomposition(g).tau
 
 
 @given(small_graphs())
 def test_oracle_equivalence_hypothesis(G):
-    assert truss_decomposition(G).tau == oracle_truss_decomposition(G).tau
+    assert truss_decomposition(G).tau.tolist() == oracle_truss_decomposition(G).tau
 
 
 @given(small_graphs(), st.sampled_from([1, peel._SWITCH]))
@@ -96,7 +105,7 @@ def test_internal_invariants_hold(G, switch):
     with mock.patch.object(peel, "_peel", checked), mock.patch.object(peel, "_SWITCH", switch):
         labels = truss_decomposition(G)
     assert len(runs) == (G.m > 0)
-    assert labels.tau == oracle_truss_decomposition(G).tau
+    assert labels.tau.tolist() == oracle_truss_decomposition(G).tau
 
 
 @given(small_graphs(), st.sampled_from(["bulk", "mixed", "stack"]), st.sampled_from([1, 7]))
@@ -114,7 +123,7 @@ def test_bulk_and_stack_steps_agree(G, kind, gather):
     with mock.patch.multiple(peel, _SWITCH=switch, _GATHER=gather):
         for k_trunc in [None, *range(1, _truncation_cap(G.m) + 1)]:
             labels, stats = instrumented_truss_decomposition(G, k_trunc=k_trunc)
-            assert labels.tau == [min(t, k_trunc or t) for t in full]
+            assert labels.tau.tolist() == [min(t, k_trunc or t) for t in full]
             assert stats.removal_steps == sum(t < (k_trunc or t + 1) for t in first)
             stacked = sum(1 <= t < (k_trunc or t + 1) for t in full)  # after round 1
             if kind != "mixed":
@@ -129,9 +138,9 @@ def test_long_cascade_drains_through_the_stack():
     for c in (12, 20_000):
         G = from_edges(c + 4, [p for p in edge_pairs(cycle_join(c, 4, seed=1)) if p != (1, 2)])
         labels, stats = instrumented_truss_decomposition(G)
-        assert labels.tau == [3] * G.m
+        assert labels.tau.tolist() == [3] * G.m
         if c == 12:
-            assert labels.tau == oracle_truss_decomposition(G).tau
+            assert labels.tau.tolist() == oracle_truss_decomposition(G).tau
         assert stats.removal_steps == triangle_counts(G).total
         assert stats.stack_pushes == G.m
 
@@ -221,7 +230,7 @@ def test_isomorphism_invariance(G, rnd):
     rnd.shuffle(perm)
     mapping = {v: perm[v - 1] for v in G.vertices}
     H = from_edges(G.n, [(mapping[u], mapping[v]) for u, v in edge_pairs(G)])
-    assert sorted(truss_decomposition(G).tau) == sorted(truss_decomposition(H).tau)
+    assert sorted(truss_decomposition(G).tau.tolist()) == sorted(truss_decomposition(H).tau.tolist())
 
 
 @given(small_graphs())
@@ -269,16 +278,16 @@ def test_degeneracy_matches_min_degree_oracle(G):
 
 def test_empty_graph():
     labels = truss_decomposition(from_edges(0, []))
-    assert labels.tau == []
+    assert labels.tau.tolist() == []
 
 
 @given(small_graphs())
 def test_stopped_peel_equals_clamped_labels(G):
-    full = truss_decomposition(G).tau
+    full = truss_decomposition(G).tau.tolist()
     total = triangle_counts(G).total
     for k_trunc in range(1, _truncation_cap(G.m) + 1):
         labels, stats = instrumented_truss_decomposition(G, k_trunc=k_trunc)
-        assert labels.tau == [min(t, k_trunc) for t in full]
+        assert labels.tau.tolist() == [min(t, k_trunc) for t in full]
         assert labels.exact == [t < k_trunc for t in full]
         assert labels.truncated_at == k_trunc
         assert stats.removal_steps <= total
@@ -292,6 +301,6 @@ def test_stopped_peel_k_trunc_checks():
         with pytest.raises(ValidationError, match=re.escape(message)):
             truss_decomposition(g, k_trunc=k_trunc)
     empty = truss_decomposition(from_edges(0, []), k_trunc=3)
-    assert (empty.tau, empty.exact, empty.truncated_at) == ([], [], 3)
+    assert (empty.tau.tolist(), empty.exact, empty.truncated_at) == ([], [], 3)
     with pytest.raises(ValidationError, match="k_trunc must be positive"):
         truss_decomposition(from_edges(0, []), k_trunc=0)

@@ -62,7 +62,7 @@ def test_k6_matches_triple_scan():
 
 def test_counts_k5():
     tc = triangle_counts(complete(5))
-    assert tc.per_edge == [3] * 10
+    assert tc.per_edge.tolist() == [3] * 10
     assert tc.total == 10
     assert vertex_counts(complete(5))[1:] == [6] * 5
 
@@ -70,7 +70,7 @@ def test_counts_k5():
 def test_counts_bowtie():
     g = from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])
     tc = triangle_counts(g)
-    assert tc.per_edge == [1] * 6
+    assert tc.per_edge.tolist() == [1] * 6
     assert tc.total == 2
     assert vertex_counts(g)[3] == 2
 
@@ -85,7 +85,7 @@ def test_counts_random_vs_triples():
         for a, b, c in ref:
             for x, y in ((a, b), (b, c), (a, c)):
                 per_edge[eid[x, y]] += 1
-        assert tc.per_edge == per_edge
+        assert tc.per_edge.tolist() == per_edge
 
 
 @given(small_graphs())
@@ -152,8 +152,8 @@ def test_out_wedges_bound_the_triangles(G):
 def check_listing(G):
     ref = brute_force_triangles(G)
     tc = triangle_counts(G)
-    assert tc.per_edge == ref.per_edge
-    assert triangle_counts(G, keep_listing=False).per_edge == tc.per_edge
+    assert tc.per_edge.tolist() == ref.per_edge
+    assert triangle_counts(G, keep_listing=False).per_edge.tolist() == tc.per_edge.tolist()
     assert vertex_counts(G) == ref.per_vertex
     assert tc.total == ref.total
     tris = collect(G)
@@ -162,7 +162,8 @@ def check_listing(G):
 
 BLOCKS = (1, 7)  # one wedge per block, and a small prime
 # the Fibonacci multiplier, and 0, which hashes every key to one shared
-# slot so that every wedge closes by the sorted-key search
+# slot of both tables so that every wedge goes through the table, then
+# the spare table, and closes by the sorted-key search
 HASHES = (triangles._HASH_MULT, np.uint64(0))
 
 
@@ -196,16 +197,22 @@ def test_listing_across_block_boundaries_on_small_graphs(G):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 1000, 1025])
 def test_position_table_holds_each_lone_key(m):
+    # the table over all keys, then the spare table over the keys whose
+    # slot it shares, hashed again and holding their positions among all
     keys = np.sort(np.random.default_rng(m).choice(1 << 40, m, replace=False))
-    table, shift = triangles._position_table(keys)
-    assert len(table) == triangles._table_slots(m) >= 2 * m
-    slots = triangles._slots(keys, shift)
-    assert slots.min() >= 0 and slots.max() < len(table)
-    share = np.bincount(slots, minlength=len(table))
-    assert (table[share == 0] == -1).all()
-    assert (table[share > 1] == -2).all()
-    lone = share[slots] == 1
-    assert (table[slots[lone]] == np.flatnonzero(lone)).all()
+    pos = np.arange(m, dtype=np.int32)
+    for rehash in (False, True):
+        table, shift, crowd = triangles._position_table(keys[pos], pos, rehash)
+        assert len(table) == triangles._table_slots(len(pos) << rehash) >= len(pos) << rehash
+        slots = triangles._slots(keys[pos], shift, rehash)
+        assert slots.min(initial=0) >= 0 and slots.max(initial=0) < len(table)
+        share = np.bincount(slots, minlength=len(table))
+        assert (table[share == 0] == -1).all()
+        assert (table[share > 1] == -2).all()
+        lone = share[slots] == 1
+        assert (table[slots[lone]] == pos[lone]).all()
+        assert crowd.tolist() == pos[~lone].tolist()
+        pos = crowd
 
 
 @pytest.mark.parametrize(
@@ -215,7 +222,7 @@ def test_position_table_holds_each_lone_key(m):
         complete(40),
         star(300),
         gnp_random(80, 0.2, seed=6),
-        skewed(600, 2**12 + 1, seed=4),  # 16 bytes of position table per edge
+        skewed(600, 2**12 + 1, seed=4),  # 8 bytes of position table per edge, 16 of spare
     ],
     ids=["skewed", "K40", "star", "gnp", "skewed-past-2^12"],
 )
@@ -233,15 +240,36 @@ def test_listing_peak_within_mem_estimate(g, monkeypatch):
         triangle_counts(g)
 
 
+def check_incidence(g):
+    tc = triangle_counts(g)
+    ptr, tri = tc.incidence
+    assert len(ptr) == g.m + 1 and len(tri) == 3 * tc.total
+    for e in range(g.m):
+        row = list(tri[ptr[e] : ptr[e + 1]])
+        assert row == sorted(row) and len(row) == tc.per_edge[e]
+        assert all(e in tc.listing[3 * t : 3 * t + 3] for t in row)
+    # the stable argsort of the listing's edge ids, read as triangle ids
+    listing = np.frombuffer(tc.listing, np.int32)
+    assert list(tri) == (np.argsort(listing, kind="stable") // 3).tolist()
+
+
 def test_incidence_rows_hold_each_edges_triangles():
-    # cycle_join(20000, 4) has m = 100,004 > 2^16 edges
+    # cycle_join(20000, 4) has m = 100,004 > 2^16 edges; in K_n every edge
+    # lies on n - 2 triangles
     for g in (gnp_random(40, 0.3, seed=3), cycle_join(20_000, 4, seed=1)):
-        tc = triangle_counts(g)
-        ptr, tri = tc.incidence
-        for e in range(g.m):
-            row = list(tri[ptr[e] : ptr[e + 1]])
-            assert row == sorted(row) and len(row) == tc.per_edge[e]
-            assert all(e in tc.listing[3 * t : 3 * t + 3] for t in row)
-        # the stable argsort of the listing's edge ids, read as triangle ids
-        listing = np.frombuffer(tc.listing, np.int32)
-        assert list(tri) == (np.argsort(listing, kind="stable") // 3).tolist()
+        check_incidence(g)
+    for n in range(4, 31):
+        check_incidence(complete(n))
+
+
+@given(small_graphs())
+def test_incidence_rows_hold_each_edges_triangles_on_small_graphs(G):
+    check_incidence(G)
+
+
+@pytest.mark.parametrize("keep", [True, False])
+@pytest.mark.parametrize("g", [complete(6), star(9), from_edges(0, [])], ids=["K6", "star", "empty"])
+def test_counts_are_int64_arrays(g, keep):
+    per_edge = triangle_counts(g, keep_listing=keep).per_edge
+    assert isinstance(per_edge, np.ndarray) and per_edge.dtype == np.int64
+    assert per_edge.shape == (g.m,)

@@ -262,12 +262,12 @@ def test_fallback_scan_alone_gives_clamped_labels():
     # with every set empty each row is all zeros, so every enumeration that
     # has residual triangles to find must get them from the fallback scan
     for g in (gnp_random(40, 0.3, seed=3), skewed(150, 900, seed=1)):
-        full = truss_decomposition(g).tau
+        full = truss_decomposition(g).tau.tolist()
         for k_trunc in (2, 3, 5):
             empty = np.zeros((g.n + 1, 2), dtype=bool)
             state = init_witness(g, WitnessConfig(k_trunc=k_trunc, sets=2), _xmat=empty)
             labels = run_rounds(state)
-            assert labels.tau == [min(t, k_trunc) for t in full]
+            assert labels.tau.tolist() == [min(t, k_trunc) for t in full]
             assert labels.exact == [t < k_trunc for t in full]
             assert state.fallback_calls > 0
 
@@ -339,24 +339,31 @@ def test_incremental_table_matches_scratch():
 
 def test_k5_truncated_all_lower_bound():
     labels = truncated_decomposition(complete(5), WitnessConfig(k_trunc=2))
-    assert labels.tau == [2] * 10
+    assert labels.tau.tolist() == [2] * 10
     assert labels.exact == [False] * 10
     assert labels.truncated_at == 2
 
 
+def test_truncated_labels_are_int64_arrays():
+    for g in (complete(5), bowtie(), from_edges(0, [])):
+        tau = truncated_decomposition(g, WitnessConfig(k_trunc=2)).tau
+        assert isinstance(tau, np.ndarray) and tau.dtype == np.int64
+        assert tau.shape == (g.m,)
+
+
 def test_bowtie_truncated_exact():
     labels = truncated_decomposition(bowtie(), WitnessConfig(k_trunc=3))
-    assert labels.tau == [1] * 6
+    assert labels.tau.tolist() == [1] * 6
     assert labels.exact == [True] * 6
 
 
 def test_truncated_matches_clamped_peeler():
     for seed in range(12):
         g = gnp_random(40, 0.3, seed=seed)
-        full = truss_decomposition(g).tau
+        full = truss_decomposition(g).tau.tolist()
         for k_trunc in (1, 2, 3, 5):
             labels = truncated_decomposition(g, WitnessConfig(k_trunc=k_trunc, seed=seed))
-            assert labels.tau == [min(t, k_trunc) for t in full]
+            assert labels.tau.tolist() == [min(t, k_trunc) for t in full]
             assert labels.exact == [t < k_trunc for t in full]
 
 
@@ -368,7 +375,7 @@ def test_labels_independent_of_seed_and_mode():
             lab = truncated_decomposition(
                 g, WitnessConfig(k_trunc=3, seed=seed, init_mode=mode)
             )
-            assert lab.tau == base.tau and lab.exact == base.exact
+            assert lab.tau.tolist() == base.tau.tolist() and lab.exact == base.exact
 
 
 def test_instrumented_counts_calls():
