@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain
+from operator import index
 
 import numpy as np
 
 from . import checks
 from .graphs import ConstructionError, Graph, InfeasibleError, ValidationError, from_edges
+from .peel import _hook
 from .triangles import triangle_counts
 
 
@@ -49,10 +51,9 @@ def _finish(name, g, expected_n, expected_m, k_for_truss, notes=()):
             f"{name}: built ({g.n}, {g.m}) but expected ({expected_n}, {expected_m})"
         )
     receipt.checks_passed += ["vertex_count", "edge_count"]
-    if k_for_truss is not None:
-        if not checks.is_k_truss(g, k_for_truss):
-            raise ConstructionError(f"{name}: output is not a {k_for_truss}-truss")
-        receipt.checks_passed.append(f"is_{k_for_truss}_truss")
+    if not checks.is_k_truss(g, k_for_truss):
+        raise ConstructionError(f"{name}: output is not a {k_for_truss}-truss")
+    receipt.checks_passed.append(f"is_{k_for_truss}_truss")
     return g, receipt
 
 
@@ -66,10 +67,10 @@ def _unpack(result, return_receipt):
 def _chain(name, k, s, r, notes=()):
     """s copies of K_{k+2} then one K_r, consecutive cliques sharing one
     vertex: n = s(k+1) + r and m = s * C(k+2, 2) + C(r, 2)."""
-    pairs = []
-    for c, size in enumerate([k + 2] * s + [r]):
-        base = c * (k + 1)
-        pairs.extend(combinations(range(base + 1, base + size + 1), 2))
+    ti, tj = np.triu_indices(k + 2, 1)
+    first = (k + 1) * np.arange(s)[:, None] + 1  # each K_{k+2}'s first vertex
+    last = np.stack(np.triu_indices(r, 1), axis=1) + s * (k + 1) + 1
+    pairs = np.concatenate([np.stack([first + ti, first + tj], axis=2).reshape(-1, 2), last])
     n = s * (k + 1) + r
     m = s * (k + 2) * (k + 1) // 2 + r * (r - 1) // 2
     return _finish(name, from_edges(n, pairs), n, m, k, notes)
@@ -98,8 +99,7 @@ def clique_chain_remainder(k: int, n: int, return_receipt: bool = False):
         r += k + 1
     s = (n - r) // (k + 1)
     assert k + 2 <= r < 2 * k + 3 and s >= 0
-    chain = _chain("clique_chain_remainder", k, s, r, [f"s={s}", f"r={r}"])
-    return _unpack(chain, return_receipt)
+    return _unpack(_chain("clique_chain_remainder", k, s, r, [f"s={s}", f"r={r}"]), return_receipt)
 
 
 # -- small critical trusses --------------------------------------------------
@@ -111,11 +111,9 @@ def critical_2truss(n: int, return_receipt: bool = False):
     Exactly 3n - 6 edges."""
     if n < 6:
         raise ValidationError("critical_2truss needs n >= 6")
-    c = n - 2
-    pairs = [(i, i + 1) for i in range(1, c)] + [(c, 1)]
-    for apex in (n - 1, n):
-        pairs.extend((i, apex) for i in range(1, c + 1))
-    g = from_edges(n, pairs)
+    cycle = np.arange(1, n - 1)  # edges (i, i + 1) and (n - 2, 1), then to each apex
+    far = np.concatenate([cycle % (n - 2) + 1, np.full(n - 2, n - 1), np.full(n - 2, n)])
+    g = from_edges(n, np.stack([np.tile(cycle, 3), far], axis=1))
     return _unpack(_finish("critical_2truss", g, n, 3 * n - 6, 2), return_receipt)
 
 
@@ -187,23 +185,13 @@ def suspension_ladder(k: int, n: int, return_receipt: bool = False):
     n(k+1) - k^2/2 - 2k + 1/2."""
     if k < 2 or n < k + 4:
         raise ValidationError("suspension_ladder needs k >= 2 and n >= k + 4")
-    if k % 2 == 0:
-        base_n = n + 2 - k
-        doubles = (k - 2) // 2
-        odd_step = False
-    else:
-        base_n = n - k + 2
-        doubles = (k - 3) // 2
-        odd_step = True
+    base_n = n - k + 2  # then k - 2 apexes: two at a time, and one more for odd k
     g = critical_2truss(base_n)
-    cur_k = 2
-    for _ in range(doubles):
+    for cur_k in range(2, k - 1, 2):
         g = suspend(g, cur_k, 2)
-        cur_k += 2
-    if odd_step:
-        g = suspend(g, cur_k, 1)
-        cur_k += 1
-    assert cur_k == k and g.n == n
+    if k % 2:
+        g = suspend(g, k - 1, 1)
+    assert g.n == n
     # bound of the iterated construction: 2m <= 2n(k+1) - k^2 - 4k + 1
     if 2 * g.m > 2 * n * (k + 1) - k * k - 4 * k + 1:
         raise ConstructionError("suspension ladder exceeded its edge bound")
@@ -221,9 +209,9 @@ def suspension_ladder(k: int, n: int, return_receipt: bool = False):
 @dataclass(frozen=True)
 class FaceEmbedding:
     """Combinatorial torus embedding: closed face walks over vertices
-    1..vertex_count, every edge on exactly two distinct faces. The edge ->
-    face incidence and the skeleton adjacency are derived once, on first
-    use."""
+    1..vertex_count, every edge on exactly two distinct faces. ``walks``,
+    the faces as read-only int64 arrays, is derived once, on first use,
+    and ``problem`` checks them once per ``strict``."""
 
     vertex_count: int
     faces: tuple[tuple[int, ...], ...]
@@ -233,132 +221,144 @@ class FaceEmbedding:
         return sum(len(f) for f in self.faces)
 
     @cached_property
-    def edge_face_incidence(self) -> dict[tuple[int, int], list[int]]:
-        """Each skeleton edge (u, v), u < v, and the faces whose walks cross it."""
-        inc: dict[tuple[int, int], list[int]] = {}
-        for idx, walk in enumerate(self.faces):
-            for u, v in zip(walk, walk[1:] + walk[:1]):
-                inc.setdefault((u, v) if u < v else (v, u), []).append(idx)
-        return inc
-
-    @cached_property
-    def adjacency(self) -> dict[int, set[int]]:
-        """Each skeleton vertex's neighbour set."""
-        adj: dict[int, set[int]] = {}
-        for u, v in self.edge_face_incidence:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        return adj
+    def walks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each face's length, and the face walks concatenated: integers only."""
+        lengths = np.fromiter(map(len, self.faces), np.int64, len(self.faces))
+        walk = np.fromiter(map(index, chain.from_iterable(self.faces)), np.int64, lengths.sum())
+        for a in (lengths, walk):
+            a.setflags(write=False)
+        return lengths, walk
 
     def edge_set(self) -> list[tuple[int, int]]:
-        return sorted(self.edge_face_incidence)
+        """The skeleton's edges (u, v), u < v, sorted."""
+        return [tuple(p) for p in _skeleton(self.vertex_count, *self.walks).tolist()]
+
+    def problem(self, strict: bool = False) -> str | None:
+        """The first invariant the embedding breaks, in ``validate``'s
+        words, or None; ``strict`` adds ``has_truss_safe_shape``'s two."""
+        known = self.__dict__.setdefault("_problems", {})
+        if strict not in known:
+            known[strict] = _problem(self.vertex_count, *self.walks, strict)
+        return known[strict]
 
     def validate(self) -> None:
-        """Raise ValidationError unless every structural invariant holds:
-        faces are simple cycles of length >= 4, each edge lies on exactly
-        two distinct faces, the skeleton is a simple connected graph, and
-        the Euler count V - E + F is zero (torus)."""
-        if self.vertex_count < 3 or not self.faces:
-            raise ValidationError("embedding too small")
-        seen_vertices: set[int] = set()
-        for walk in self.faces:
-            if len(walk) < 4:
-                raise ValidationError(f"face of length {len(walk)} < 4")
-            if len(set(walk)) != len(walk):
-                raise ValidationError(f"face walk revisits a vertex: {walk}")
-            for u in walk:
-                if not (1 <= u <= self.vertex_count):
-                    raise ValidationError(f"face vertex {u} out of range")
-            for i, u in enumerate(walk):
-                if u == walk[(i + 1) % len(walk)]:
-                    raise ValidationError("face walk contains a loop")
-            seen_vertices.update(walk)
-        if len(seen_vertices) != self.vertex_count:
-            raise ValidationError("embedding has vertices on no face")
-        inc = self.edge_face_incidence
-        for key, face_ids in inc.items():
-            if len(face_ids) != 2 or face_ids[0] == face_ids[1]:
-                raise ValidationError(
-                    f"edge {key} lies on faces {tuple(face_ids)}, need two distinct"
-                )
-        if 2 * len(inc) != self.girth_sum:
-            raise ValidationError("face lengths inconsistent with edge count")
-        if self.vertex_count - len(inc) + len(self.faces) != 0:
-            raise ValidationError("Euler count is not toroidal")
-        # connectivity of the skeleton; vertex 1 lies on a face
-        adj = self.adjacency
-        reach, frontier = {1}, [1]
-        while frontier:
-            for w in adj[frontier.pop()]:
-                if w not in reach:
-                    reach.add(w)
-                    frontier.append(w)
-        if len(reach) != self.vertex_count:
-            raise ValidationError("skeleton is disconnected")
+        """Raise ValidationError naming the first invariant that fails:
+        faces are simple cycles of length >= 4 covering 1..vertex_count,
+        each edge lies on exactly two distinct faces, V - E + F is zero
+        (torus) and the skeleton is connected. Checked once, on arrays."""
+        if (problem := self.problem()) is not None:
+            raise ValidationError(problem)
 
 
-def _try_embedding(heights: list[tuple[int, int]], offset: int) -> FaceEmbedding | None:
-    """Realize stacked cells on a twisted cylinder quotient.
+def _step_keys(h: int, lengths: np.ndarray, walk: np.ndarray) -> np.ndarray:
+    """Key lo * (h + 1) + hi of the edge each walk step crosses, from a
+    vertex to the next on its face, the last back to the first."""
+    nxt = np.arange(1, len(walk) + 1)
+    nxt[np.cumsum(lengths) - 1] -= lengths
+    return np.minimum(walk, walk[nxt]) * (h + 1) + np.maximum(walk, walk[nxt])
 
-    Cell c spans ``heights[c][0]`` rows on the left column and
-    ``heights[c][1]`` rows on the right; both columns are the same cycle
-    of h vertices, the right one read at ``offset``. Returns None when the
-    result would not be a simple-cycle-faced simple graph.
-    """
-    h = sum(p for p, _ in heights)
-    if h != sum(q for _, q in heights) or h < 3:
+
+def _skeleton(h: int, lengths: np.ndarray, walk: np.ndarray) -> np.ndarray:
+    """The skeleton's edges as sorted (E, 2) rows (u, v), u < v."""
+    keys = np.sort(_step_keys(h, lengths, walk))
+    keys = keys[np.diff(keys, prepend=keys[:1] - 1) != 0]  # np.unique would load numpy.ma
+    return np.stack(np.divmod(keys, h + 1), axis=1)
+
+
+def _problem(h: int, lengths: np.ndarray, walk: np.ndarray, strict: bool) -> str | None:
+    """``FaceEmbedding.problem`` of the faces ``walk``, cut into
+    ``lengths``, over vertices 1..h: ``validate``'s checks in its order,
+    on sorted (vertex, face) pairs and edge keys instead of sets."""
+    r = len(lengths)
+    if h < 3 or not r:
+        return "embedding too small"
+    face = np.repeat(np.arange(r), lengths)
+    by_vertex = np.lexsort((face, walk))  # (vertex, face) order: a revisit repeats a row
+    on, of = walk[by_vertex], face[by_vertex]
+    twice = of[1:][(on[1:] == on[:-1]) & (of[1:] == of[:-1])]
+    # the first faulty face names its first fault: length, revisit, range
+    faults = (np.flatnonzero(lengths < 4), twice, face[(walk < 1) | (walk > h)])
+    first = min((int(f.min()) for f in faults if f.size), default=r)
+    if first < r:
+        at = walk[face == first]
+        if len(at) < 4:
+            return f"face of length {len(at)} < 4"
+        if first in twice:
+            return f"face walk revisits a vertex: {tuple(at.tolist())}"
+        return f"face vertex {at[(at < 1) | (at > h)][0]} out of range"
+    count = np.bincount(walk, minlength=h + 1)
+    if not count[1:].all():
+        return "embedding has vertices on no face"
+    keys = _step_keys(h, lengths, walk)
+    order = np.argsort(keys, kind="stable")  # an edge's crossings, its first one heading them
+    keys, crossed = keys[order], face[order]
+    head = np.flatnonzero(np.diff(keys, prepend=-1))
+    size = np.diff(head, append=len(keys))
+    bad = np.flatnonzero((size != 2) | (crossed[head] == crossed[(head + 1) % len(keys)]))
+    if bad.size:
+        e = bad[np.argmin(order[head[bad]])]  # the bad edge crossed first
+        faces = tuple(crossed[head[e] : head[e] + size[e]].tolist())
+        return f"edge {divmod(int(keys[head[e]]), h + 1)} lies on faces {faces}, need two distinct"
+    if h - len(head) + r != 0:
+        return "Euler count is not toroidal"
+    (u, v), root = np.divmod(keys[head], h + 1), np.arange(h + 1)
+    _hook(root, u, v)
+    if (root[1:] != 1).any():
+        return "skeleton is disconnected"
+    if not strict:
         return None
-    faces, left, right = [], 0, offset
-    for p, q in heights:
-        # up the left column, across, down the right, as vertices 1..h
-        walk = [(left + s) % h + 1 for s in range(p + 1)]
-        walk += [(right + s) % h + 1 for s in range(q, -1, -1)]
-        faces.append(tuple(walk))
-        left, right = left + p, right + q
-    emb = FaceEmbedding(h, tuple(faces))
-    try:
-        emb.validate()  # rejects, among others, walks that revisit a vertex
-    except ValidationError:
-        return None
-    # the face multiset must be exactly as requested
-    if sorted(len(f) for f in emb.faces) != sorted(p + q + 2 for p, q in heights):
-        return None
-    return emb
+    if triangle_counts(from_edges(h, np.stack([u, v], axis=1)), keep_listing=False).total:
+        return "skeleton has a triangle"
+    # per skeleton edge (u, v), the faces of u that v is on too: its own
+    # two, and any other face it is a chord of
+    start, reps = (np.cumsum(count) - count)[u], count[u]  # u's rows in (vertex, face) order
+    slot = np.repeat(start - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
+    member, want = on * r + of, np.repeat(v, reps) * r + of[slot]
+    found = np.searchsorted(member, want, "right") - np.searchsorted(member, want)
+    return "a face has a chord" if found.sum() > 2 * len(u) else None
 
 
 def has_truss_safe_shape(emb: FaceEmbedding) -> bool:
-    """True when the faces of a validated embedding are induced cycles and
-    the skeleton is triangle-free.
+    """True when the embedding is valid, its faces are induced cycles and
+    its skeleton is triangle-free: ``emb.problem(strict=True)`` is None.
 
     Inserting face cliques into an embedding without these two properties
     yields a k-truss that is provably not critical: an in-face skeleton
     chord or a skeleton triangle adds spare triangles that let a proper
     edge subset (everything minus one face gadget) survive as a k-truss.
     """
-    adj = emb.adjacency
-    if any(adj[u] & adj[v] for u, v in emb.edge_face_incidence):
-        return False
-    for walk in emb.faces:
-        # the walk's own edges give each of its vertices two neighbours on
-        # it; any more is a chord
-        on_face = set(walk)
-        if sum(len(adj[u] & on_face) for u in walk) > 2 * len(walk):
-            return False
-    return True
+    return emb.problem(strict=True) is None
 
 
 def _stackings(i: int, t: int):
-    """Cell stackings in search order, one at a time: a tall cell (p, t-2-p)
-    and its mirror with the i unit squares split between them, then the
-    two tall cells swapped."""
-    squares = [(1, 1)] * i
+    """Cell stackings in search order, one at a time, as the cells' left
+    and right heights: a tall cell (p, t-2-p) and its mirror with the i
+    unit squares split between them, then the two tall cells swapped."""
     for p in range(1, t - 2):
-        tall_a = (p, t - 2 - p)
-        tall_b = (t - 2 - p, p)
+        tall = ((p, t - 2 - p), (t - 2 - p, p))
         for split in range(i + 1):
-            yield [tall_a] + squares[:split] + [tall_b] + squares[split:]
-            if tall_a != tall_b:
-                yield [tall_b] + squares[:split] + [tall_a] + squares[split:]
+            for first, second in (tall, tall[::-1])[: 1 + (tall[0] != tall[1])]:
+                heights = np.ones((i + 2, 2), np.int64)
+                heights[0], heights[split + 1] = first, second
+                yield heights.T
+
+
+def _candidates(i: int, t: int):
+    """The search's candidates in order, one at a time, as (offset,
+    lengths, walk): each twist offset of each stacking. Both columns are
+    the cycle 1..h, the right one read at the offset; cell c, p[c] rows
+    high on the left and q[c] on the right, has its face go up the left
+    column, across, and down the right."""
+    h = i + t - 2
+    for p, q in _stackings(i, t):
+        lengths = p + q + 2
+        face = np.repeat(np.arange(len(lengths)), lengths)
+        at = np.arange(len(face)) - (np.cumsum(lengths) - lengths)[face]  # place on its face
+        right = at > p[face]
+        down = (np.cumsum(q) - q + lengths - 1)[face] - at  # the right column, less the offset
+        rows = np.where(right, down, (np.cumsum(p) - p)[face] + at)
+        for offset in range(2, h - 1):
+            yield offset, lengths, (rows + offset * right) % h + 1
 
 
 def torus_embedding(i: int, t: int, return_receipt: bool = False, strict: bool = False):
@@ -368,9 +368,10 @@ def torus_embedding(i: int, t: int, return_receipt: bool = False, strict: bool =
     edges: unit cells give the square faces and taller (for odd t,
     left/right-unbalanced) cells give the two long faces. Candidate cell
     stackings and twist offsets are searched deterministically, one at a
-    time, and each candidate is validated structurally, so an invalid
-    embedding is never returned; parameters with no simple realization
-    raise InfeasibleError.
+    time, and each candidate's walks are validated as arrays, so an
+    invalid embedding is never returned; only the one returned is made
+    into face tuples. Parameters with no simple realization raise
+    InfeasibleError.
 
     ``strict`` additionally demands chord-free (induced) faces and a
     triangle-free skeleton, the shape needed for the derived k-truss to
@@ -379,28 +380,23 @@ def torus_embedding(i: int, t: int, return_receipt: bool = False, strict: bool =
     if i < 0 or t < 4:
         raise ValidationError("torus_embedding needs i >= 0 and t >= 4")
     h = i + t - 2
-    for heights in _stackings(i, t):
-        for offset in range(2, h - 1):
-            emb = _try_embedding(heights, offset)
-            if emb is None or strict and not has_truss_safe_shape(emb):
-                continue
-            if return_receipt:
-                receipt = ConstructionReceipt(
-                    "torus_embedding",
-                    h,
-                    h + i + 2,
-                    emb.vertex_count,
-                    len(emb.edge_face_incidence),
-                    ["embedding_validated"] + (["truss_safe_shape"] if strict else []),
-                    [f"i={i}", f"t={t}", f"offset={offset}"],
-                )
-                return emb, receipt
+    for offset, lengths, walk in _candidates(i, t):
+        if _problem(h, lengths, walk, strict) is not None:
+            continue
+        flat, ends = walk.tolist(), np.cumsum(lengths).tolist()
+        emb = FaceEmbedding(h, tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends)))
+        emb.__dict__["_problems"] = {False: None, strict: None}
+        if not return_receipt:
             return emb
+        return emb, ConstructionReceipt(
+            "torus_embedding", h, h + i + 2, h, len(walk) // 2,
+            ["embedding_validated"] + (["truss_safe_shape"] if strict else []),
+            [f"i={i}", f"t={t}", f"offset={offset}"],
+        )
     raise InfeasibleError(
-        f"no simple toroidal embedding with two {t}-cycle faces and {i} "
-        f"four-cycle faces exists in the searched family "
-        f"({'strict shape, ' if strict else ''}h={h} vertices, "
-        f"{h + i + 2} edges needed)"
+        f"no simple toroidal embedding with two {t}-cycle faces and {i} four-cycle faces "
+        f"exists in the searched family ({'strict shape, ' if strict else ''}h={h} "
+        f"vertices, {h + i + 2} edges needed)"
     )
 
 
@@ -410,29 +406,33 @@ def truss_from_embedding(emb: FaceEmbedding, k: int, return_receipt: bool = Fals
     The skeleton is kept and each face gains a clique on k-1 fresh
     vertices joined completely to the face's cycle. With r faces and
     total face length g the result has r(k-2) + g/2 vertices and
-    r * C(k-1, 2) + (k - 1/2) g edges.
+    r * C(k-1, 2) + (k - 1/2) g edges. The edges are built as one int64
+    array, dropped before the self-check. ``validate`` reuses its verdict.
     """
     if k < 3:
         raise ValidationError("truss_from_embedding needs k >= 3")
     emb.validate()
-    h = emb.vertex_count
-    r = len(emb.faces)
-    g = emb.girth_sum
-    pairs = emb.edge_set()
-    nxt = h + 1
-    for walk in emb.faces:
-        clique = range(nxt, nxt + k - 1)
-        nxt += k - 1
-        pairs.extend(combinations(clique, 2))
-        # face vertices are at most h, below every fresh clique vertex
-        pairs.extend((w, c) for c in clique for w in walk)
+    r, g = len(emb.faces), emb.girth_sum
     n = r * (k - 2) + g // 2
     m = r * (k - 1) * (k - 2) // 2 + (2 * (k - 1) + 1) * g // 2
-    graph = from_edges(n, pairs)
-    return _unpack(
-        _finish("truss_from_embedding", graph, n, m, k, [f"k={k}", f"faces={r}"]),
-        return_receipt,
-    )
+    graph = from_edges(n, _face_truss_pairs(emb.vertex_count, *emb.walks, k))
+    return _unpack(_finish("truss_from_embedding", graph, n, m, k, [f"k={k}", f"faces={r}"]),
+                   return_receipt)
+
+
+def _face_truss_pairs(h: int, lengths: np.ndarray, walk: np.ndarray, k: int) -> np.ndarray:
+    """``truss_from_embedding``'s edges: the sorted skeleton, then per face
+    its clique's pairs and each clique vertex's joins to the walk."""
+    ti, tj = np.triu_indices(k - 1, 1)
+    c = len(ti)
+    block = c + (k - 1) * lengths  # per face: its clique's pairs, then its joins
+    face = np.repeat(np.arange(len(lengths)), block)
+    j = np.arange(len(face)) - (np.cumsum(block) - block)[face] - c  # join j, or pair j + c
+    fresh, span = h + 1 + (k - 1) * face, lengths[face]  # the clique follows every face vertex
+    pair, start = np.minimum(j + c, c - 1), (np.cumsum(lengths) - lengths)[face]
+    near = np.where(j < 0, fresh + ti[pair], walk[start + j % span])  # join j: walk j % span
+    far = fresh + np.where(j < 0, tj[pair], j // span)  # to clique vertex j // span
+    return np.concatenate([_skeleton(h, lengths, walk), np.stack([near, far], axis=1)])
 
 
 def critical_truss(k: int, n: int, return_receipt: bool = False):

@@ -9,7 +9,8 @@ criticality, neighbour-set recounts for the maximal k-truss and the m
 single-edge peels, plain loops over the residual graph for the witness
 table and the peel's invariant check, a search per level for the bound
 report, for the torus search a candidate list built up front and checked
-on a dense adjacency matrix, and one f-string per row for the row
+on a dense adjacency matrix, for the generators' edge order the Python
+tuple builds they replaced, and one f-string per row for the row
 writers. None of them calls the code path it checks. The expensive ones
 refuse inputs past their caps, raising ``CapExceeded`` or failing an
 assertion, rather than hang.
@@ -18,6 +19,7 @@ production listing, as the library keeps none.
 """
 
 from collections import namedtuple
+from itertools import combinations
 from math import isqrt
 
 import numpy as np
@@ -503,14 +505,21 @@ def level_bound_checks(G, tau):
 
 
 def eager_torus_search(i, t, strict):
-    """The torus search with its whole candidate list built first: for each
-    tall cell (p, t-2-p), p = 1..t-3, and each split of the i unit squares,
-    the stacking and, unless symmetric, its swap, each tried at twist
-    offsets 2..h-2. Returns the first valid candidate's faces and offset,
-    or None. Each face set is checked from scratch on a dense adjacency
-    matrix: simple walks of length >= 4 covering 1..h, every edge on two
-    distinct faces, V - E + F = 0, a connected skeleton and, if
-    ``strict``, chord-free faces and no skeleton triangle."""
+    """The torus search with its whole candidate list built first: the
+    first of ``eager_torus_candidates`` whose faces are valid, checked
+    from scratch on a dense adjacency matrix by ``_torus_faces_valid``, as
+    its faces and offset, or None."""
+    for faces, offset in eager_torus_candidates(i, t):
+        if _torus_faces_valid(faces, i + t - 2, strict):
+            return faces, offset
+    return None
+
+
+def eager_torus_candidates(i, t):
+    """Every candidate of the torus search, in order, as (faces, offset),
+    from a stacking list built up front: for each tall cell (p, t-2-p),
+    p = 1..t-3, and each split of the i unit squares, the stacking and,
+    unless symmetric, its swap, each at twist offsets 2..h-2."""
     squares = [(1, 1)] * i
     h = i + t - 2
     orders = []
@@ -528,13 +537,15 @@ def eager_torus_search(i, t, strict):
                 walk += [(right + s) % h for s in range(q, -1, -1)]
                 faces.append(tuple(v + 1 for v in walk))
                 left, right = left + p, right + q
-            if _torus_faces_valid(faces, h, strict):
-                assert sorted(map(len, faces)) == sorted(p + q + 2 for p, q in heights)
-                return tuple(faces), offset
-    return None
+            assert sorted(map(len, faces)) == sorted(p + q + 2 for p, q in heights)
+            yield tuple(faces), offset
 
 
 def _torus_faces_valid(faces, h, strict):
+    """Whether the faces are simple walks of length >= 4 covering 1..h,
+    every edge on two distinct faces, V - E + F = 0 and a connected
+    skeleton and, if ``strict``, chord-free faces and no skeleton
+    triangle, on a dense adjacency matrix."""
     if any(len(f) < 4 or len(set(f)) < len(f) for f in faces):
         return False
     if set().union(*faces) != set(range(1, h + 1)):
@@ -559,3 +570,39 @@ def _torus_faces_valid(faces, h, strict):
         if A[np.ix_(rows, rows)].sum() != 2 * len(f):
             return False  # a chord
     return np.trace(A @ A @ A) == 0
+
+
+def tuple_truss_pairs(emb, k):
+    """``truss_from_embedding``'s edges built as tuples, in its order: the
+    skeleton's pairs sorted, then per face the pairs of its k-1 fresh
+    clique vertices and each clique vertex joined to the walk."""
+    skeleton = set()
+    for walk in emb.faces:
+        skeleton.update((min(u, v), max(u, v)) for u, v in zip(walk, walk[1:] + walk[:1]))
+    pairs, fresh = sorted(skeleton), emb.vertex_count + 1
+    for walk in emb.faces:
+        clique = range(fresh, fresh + k - 1)
+        fresh += k - 1
+        pairs.extend(combinations(clique, 2))
+        pairs.extend((w, c) for c in clique for w in walk)
+    return pairs
+
+
+def tuple_chain_pairs(k, s, r):
+    """The clique chain's edges as tuples: s copies of K_{k+2}, then K_r,
+    each clique's pairs in turn, consecutive cliques sharing a vertex."""
+    pairs = []
+    for c, size in enumerate([k + 2] * s + [r]):
+        base = c * (k + 1)
+        pairs.extend(combinations(range(base + 1, base + size + 1), 2))
+    return pairs
+
+
+def tuple_2truss_pairs(n):
+    """The minimum critical 2-truss's edges as tuples: the cycle on
+    1..n-2, then each cycle vertex to the apex n-1 and to the apex n."""
+    c = n - 2
+    pairs = [(i, i + 1) for i in range(1, c)] + [(c, 1)]
+    for apex in (n - 1, n):
+        pairs.extend((i, apex) for i in range(1, c + 1))
+    return pairs

@@ -15,6 +15,7 @@ from trusskit import (
     ValidationError,
     WitnessConfig,
     clique_chain,
+    critical_truss,
     from_edges,
     gnp_random,
     init_witness,
@@ -609,7 +610,8 @@ LOADED_AFTER_RUN = (
     "try:\n"
     "    runpy.run_module('trusskit', run_name='__main__', alter_sys=True)\n"
     "finally:\n"
-    "    loaded = (m for m in sys.modules if m.startswith('trusskit.') or m == 'fractions')\n"
+    "    extra = ('fractions', 'numpy.ma')\n"
+    "    loaded = (m for m in sys.modules if m.startswith('trusskit.') or m in extra)\n"
     "    print(*sorted(loaded), file=sys.stderr)\n"
 )
 
@@ -634,6 +636,28 @@ def test_subcommand_loads_only_what_it_runs(tmp_path, args, loaded):
     )
     assert (proc.returncode, proc.stdout) == want
     assert proc.stderr.splitlines()[-1] == loaded
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["generate", "critical", "--k", "4", "--n", "400"],
+        ["truss"],
+        ["truncated-truss", "--k-trunc", "4"],
+        ["verify", "critical", "--k", "4"],
+    ],
+    ids=["generate-critical", "truss", "truncated-truss", "verify-critical"],
+)
+def test_workload_commands_never_load_numpy_ma(tmp_path, args):
+    # np.unique without a return_* argument imports numpy.ma on first use,
+    # which costs a cold process several milliseconds
+    (tmp_path / "in.txt").write_text(critical_truss(4, 400).serialize())
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER_RUN, "-i", str(tmp_path / "in.txt"), *args],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy.ma" not in proc.stderr.splitlines()[-1].split()
 
 
 # every name the package exported when its __init__ imported each module

@@ -1,5 +1,6 @@
 """Extremal constructions: counts, truss property, criticality."""
 
+import re
 from itertools import combinations
 
 import numpy as np
@@ -22,14 +23,19 @@ from trusskit import (
     triangle_counts,
     truss_from_embedding,
 )
-from trusskit.generators import FaceEmbedding, has_truss_safe_shape
+from trusskit.generators import FaceEmbedding, _candidates, _problem, has_truss_safe_shape
 
 from .oracles import (
+    _torus_faces_valid,
     adjacency,
     dense_suspend,
+    eager_torus_candidates,
     eager_torus_search,
     edge_pairs,
     induced_by_vertices,
+    tuple_2truss_pairs,
+    tuple_chain_pairs,
+    tuple_truss_pairs,
     vertex_counts,
 )
 
@@ -74,6 +80,18 @@ def test_chain_remainder_grid():
             assert is_k_truss(g, k)
             # m <= n(1 + k/2) + O(k^2) with explicit constant
             assert 2 * g.m <= n * (k + 2) + 2 * (2 * k * k + 3 * k + 1)
+
+
+def test_chain_and_2truss_edges_match_the_tuple_build():
+    for k in range(1, 6):
+        for s in range(1, 5):
+            assert edge_pairs(clique_chain(k, s)) == tuple_chain_pairs(k, s - 1, k + 2)
+        for n in range(k + 2, 3 * k + 8):
+            g, receipt = clique_chain_remainder(k, n, return_receipt=True)
+            s, r = (int(note.split("=")[1]) for note in receipt.notes)
+            assert edge_pairs(g) == tuple_chain_pairs(k, s, r)
+    for n in range(6, 20):  # the cycle's closing edge (n-2, 1) is stored as (1, n-2)
+        assert edge_pairs(critical_2truss(n)) == [tuple(sorted(p)) for p in tuple_2truss_pairs(n)]
 
 
 def test_chain_remainder_too_small():
@@ -230,9 +248,15 @@ def test_embedding_mixed_faces():
 
 
 def test_embedding_every_edge_two_distinct_faces():
+    # the edge -> face incidence recounted from the face walks themselves
     for i, t in [(6, 4), (4, 6), (3, 4), (8, 5)]:
         emb = torus_embedding(i, t)
-        for faces in emb.edge_face_incidence.values():
+        on_faces = {}
+        for idx, walk in enumerate(emb.faces):
+            for u, v in zip(walk, walk[1:] + walk[:1]):
+                on_faces.setdefault((min(u, v), max(u, v)), []).append(idx)
+        assert sorted(on_faces) == emb.edge_set()
+        for faces in on_faces.values():
             assert len(faces) == 2 and faces[0] != faces[1]
 
 
@@ -260,10 +284,107 @@ def test_embedding_search_order_matches_the_eager_list(strict):
     assert found == (41 if strict else 60)
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_every_visited_candidate_matches_the_dense_check(strict):
+    # each candidate the search tries, up to the one it returns, rejected
+    # ones too: the walks it builds, and its verdict on them, on the
+    # embedding made of their tuples and from the dense oracle
+    checked = 0
+    for i in range(13):
+        for t in range(4, 10):
+            h = i + t - 2
+            want = eager_torus_candidates(i, t)
+            for offset, lengths, walk in _candidates(i, t):
+                faces, want_offset = next(want)
+                assert offset == want_offset
+                assert lengths.tolist() == list(map(len, faces))
+                assert walk.tolist() == [v for f in faces for v in f]
+                valid = _torus_faces_valid(faces, h, strict)
+                assert (_problem(h, lengths, walk, strict) is None) == valid, (i, t, offset)
+                emb = FaceEmbedding(h, faces)
+                assert (has_truss_safe_shape(emb) if strict else emb.problem() is None) == valid
+                checked += 1
+                if valid:
+                    break
+    assert checked == (5483 if strict else 943)
+
+
 def test_embedding_validator_rejects_garbage():
     bad = FaceEmbedding(3, ((1, 2, 3, 1),))
     with pytest.raises(ValidationError):
         bad.validate()
+
+
+def _grid_faces(rows, cols, base=0):
+    """The square faces of the rows x cols grid on the torus, its vertices
+    numbered base+1.. row by row."""
+    at = lambda r, c: base + (r % rows) * cols + c % cols + 1
+    return tuple(
+        (at(r, c), at(r, c + 1), at(r + 1, c + 1), at(r + 1, c))
+        for r in range(rows) for c in range(cols)
+    )
+
+
+CUBE = ((1, 2, 3, 4), (5, 6, 7, 8), (1, 2, 6, 5), (2, 3, 7, 6), (3, 4, 8, 7), (4, 1, 5, 8))
+SQUARE = (1, 2, 3, 4)
+
+BAD_EMBEDDINGS = {
+    "too small": (2, (SQUARE,), "embedding too small"),
+    "no faces": (5, (), "embedding too small"),
+    "short face": (4, (SQUARE, (1, 2, 3)), "face of length 3 < 4"),
+    "revisit": (4, (SQUARE, (1, 2, 1, 3)), "face walk revisits a vertex: (1, 2, 1, 3)"),
+    "out of range, low": (4, (SQUARE, (1, 2, 0, 3)), "face vertex 0 out of range"),
+    "out of range, high": (4, (SQUARE, (1, 2, 3, 7)), "face vertex 7 out of range"),
+    # within a face: length, then revisit, then range; faces in order
+    "short before range": (4, ((1, 9, 2),), "face of length 3 < 4"),
+    "revisit before range": (4, ((1, 9, 9, 2),), "face walk revisits a vertex: (1, 9, 9, 2)"),
+    "first bad face wins": (4, (SQUARE, (1, 2, 3, 9), (1, 2, 3)), "face vertex 9 out of range"),
+    "uncovered vertex": (5, (SQUARE,), "embedding has vertices on no face"),
+    "edge on one face": (4, (SQUARE,), "edge (1, 2) lies on faces (0,), need two distinct"),
+    "edge on three faces": (
+        6, (SQUARE, (2, 1, 5, 6), (1, 2, 6, 5)),
+        "edge (1, 2) lies on faces (0, 1, 2), need two distinct",
+    ),
+    # a simple walk crosses each edge once: one crossed twice revisits a vertex
+    "edge twice on one face": (
+        4, (SQUARE, (1, 2, 3, 1, 2, 4)), "face walk revisits a vertex: (1, 2, 3, 1, 2, 4)"
+    ),
+    # edges in order of first crossing, not of their end pairs
+    "first crossed bad edge wins": (
+        6, ((3, 4, 1, 2), (4, 3, 5, 6)), "edge (1, 4) lies on faces (0,), need two distinct"
+    ),
+    "sphere Euler count": (8, CUBE, "Euler count is not toroidal"),
+    "disconnected skeleton": (
+        18, _grid_faces(3, 3) + _grid_faces(3, 3, 9), "skeleton is disconnected"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_EMBEDDINGS)
+def test_embedding_validator_messages(case):
+    h, faces, message = BAD_EMBEDDINGS[case]
+    emb = FaceEmbedding(h, faces)
+    with pytest.raises(ValidationError) as info:
+        emb.validate()
+    assert str(info.value) == message
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        truss_from_embedding(emb, 3)
+
+
+def test_embedding_vertices_must_be_integers():
+    # a float vertex is refused, not truncated to an integer id
+    with pytest.raises(TypeError):
+        FaceEmbedding(4, ((1, 2, 3, 4.5), (1, 2, 3, 4))).validate()
+
+
+def test_grid_embeddings_validate_and_shape():
+    # the 3 x 3 grid's rows and columns are triangles; the 4 x 4 grid has
+    # none and no face chord
+    FaceEmbedding(9, _grid_faces(3, 3)).validate()
+    assert not has_truss_safe_shape(FaceEmbedding(9, _grid_faces(3, 3)))
+    FaceEmbedding(16, _grid_faces(4, 4)).validate()
+    assert has_truss_safe_shape(FaceEmbedding(16, _grid_faces(4, 4)))
+    assert is_critical_k_truss(truss_from_embedding(FaceEmbedding(16, _grid_faces(4, 4)), 3), 3)
 
 
 # -- face-insertion trusses ------------------------------------------------------
@@ -316,6 +437,26 @@ def test_truss_from_embedding_not_critical_without_safe_shape():
     g = truss_from_embedding(emb, 3)
     assert is_k_truss(g, 3)
     assert not is_critical_k_truss(g, 3)
+
+
+def test_truss_from_embedding_matches_the_tuple_build():
+    # row for row, against the old build of Python pairs
+    for i, t, strict in ((6, 4, True), (4, 6, False), (3, 4, False), (8, 5, False), (9, 7, True)):
+        emb = torus_embedding(i, t, strict=strict)
+        for k in (3, 4, 5, 6):
+            assert edge_pairs(truss_from_embedding(emb, k)) == tuple_truss_pairs(emb, k)
+    emb = FaceEmbedding(16, _grid_faces(4, 4))
+    assert edge_pairs(truss_from_embedding(emb, 4)) == tuple_truss_pairs(emb, 4)
+
+
+def test_truss_from_embedding_checks_once():
+    # the search's verdict rides along: validate looks at no array again
+    emb = torus_embedding(6, 4, strict=True)
+    assert emb.__dict__["_problems"] == {False: None, True: None}
+    fresh = FaceEmbedding(emb.vertex_count, emb.faces)
+    assert "_problems" not in fresh.__dict__
+    assert truss_from_embedding(fresh, 4) == truss_from_embedding(emb, 4)
+    assert fresh.__dict__["_problems"] == {False: None}
 
 
 def test_truss_from_embedding_rejects_small_k():

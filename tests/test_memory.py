@@ -15,6 +15,7 @@ import pytest
 from trusskit import (
     bound_report,
     clique_chain,
+    clique_chain_remainder,
     critical_2truss,
     critical_truss,
     from_edges,
@@ -41,6 +42,11 @@ RETAINED_BYTES_PER_EDGE = 72
 # once each, and per piece of rows their index columns and bytes, whatever m is
 WRITER_BYTES_PER_VERTEX = 200
 WRITER_PIECE_BYTES = 2**19
+
+# a generator builds its edges as one int64 array, which the Graph's own
+# arrays replace, then runs the count-only self-check: 134-146 bytes per
+# output edge at 200k edges, where a list of Python pairs took 209-230
+GENERATOR_BYTES_PER_EDGE = 160
 
 # a whole CLI run on a sparse graph with n close to m: the parse, the
 # command's per-edge and per-vertex arrays and lists, and its row writer
@@ -90,6 +96,27 @@ def test_critical_truss_peak_within_bytes_per_edge():
         tracemalloc.stop()
     assert G.m == 108817
     assert peak <= BYTES_PER_EDGE * G.m, f"peaked at {peak / G.m:.0f} bytes per edge"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: clique_chain(3, 20000),
+        lambda: clique_chain_remainder(3, 80001),
+        lambda: critical_2truss(66670),
+    ],
+    ids=["clique_chain(3, 20000)", "clique_chain_remainder(3, 80001)",
+         "critical_2truss(66670)"],
+)
+def test_generator_peak_within_bytes_per_edge(make):
+    tracemalloc.start()
+    try:
+        G = make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.m >= 200_000
+    assert peak <= GENERATOR_BYTES_PER_EDGE * G.m, f"peaked at {peak / G.m:.0f} bytes per edge"
 
 
 @pytest.mark.parametrize(
