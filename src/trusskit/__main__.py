@@ -1,5 +1,9 @@
+"""``python -m trusskit``: one command per process, through ``cli.entry``,
+which freezes the heap once the command has returned so that the
+interpreter's exit does not collect it (see ``cli``)."""
+
 import sys
 
-from .cli import main
+from .cli import entry
 
-sys.exit(main())
+sys.exit(entry())

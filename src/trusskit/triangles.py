@@ -10,13 +10,13 @@ sorts, are hashed once into a direct-mapped table of their positions, so
 a wedge, which mostly does not close, costs one gather and one key
 compare. The keys whose slot two keys share are hashed again, under
 another multiplier, into a spare table; only the wedges whose spare slot
-is shared too fall back to a ``searchsorted``. Counting for the peel
-keeps each triangle's edge ids, counts them in one ``bincount`` and
-builds the edge -> triangle incidence from them with one sort, and the
-vertex listing keeps each triangle's vertices, both
-under the memory cap; count-only callers keep none, and witness init and
-the bound report read the blocks as they come. Only the vertex readers
-have the blocks build vertex rows.
+is shared too fall back to a ``searchsorted``. Counting adds each
+block's edge ids to the per-edge counts in place. Counting for the peel
+also keeps each triangle's edge ids and builds the edge -> triangle
+incidence from them with one sort, and the vertex listing keeps each
+triangle's vertices, both under the memory cap; count-only callers keep
+none, and witness init and the bound report read the blocks as they
+come. Only the vertex readers have the blocks build vertex rows.
 """
 
 from __future__ import annotations
@@ -96,8 +96,7 @@ def _footprint(G: Graph, kept: int) -> int:
     incidence's int64 sort keys and int32 rows (48), later the listing,
     the rows, the peel's alive byte and the critical trials' int32 kill
     journal (29). Up to seven per-edge words are live as the blocks start,
-    the count-only path's counts among them; the listing path makes its
-    counts after the blocks."""
+    the counts among them, which each block adds its edge ids to in place."""
     per_edge = 64 * G.m + 4 * (_table_slots(G.m) + _table_slots(2 * G.m))
     return 64 * (G.n + 1) + per_edge + 160 * _WEDGE_BLOCK + 56 * kept + 65536
 
@@ -223,17 +222,14 @@ def triangle_counts(G: Graph, *, keep_listing: bool = True) -> TriangleCounts:
     the fixed part is reserved."""
     need = _reserve(G, 0)
     listing = array("i") if keep_listing else None
-    per_edge = None if keep_listing else np.zeros(G.m, dtype=np.int64)
+    per_edge = np.zeros(G.m, dtype=np.int64)
     total = 0
     for _, edges in _blocks(G, vertices=False):
         total += len(edges)
         if listing is not None:
             need = _reserve(G, total)
             listing.frombytes(edges.astype(np.int32).view(np.uint8))
-        else:
-            np.add.at(per_edge, edges.ravel(), 1)  # O(block) work, a bincount O(m)
-    if listing is not None:
-        per_edge = np.bincount(np.frombuffer(listing, np.int32), minlength=G.m)
+        np.add.at(per_edge, edges.ravel(), 1)  # O(block) work, a bincount O(m)
     return TriangleCounts(per_edge, total, listing, need)
 
 

@@ -1,11 +1,15 @@
 """Command-line surface: formats, exit codes, determinism, pipelines."""
 
 import argparse
+import gc
+import importlib
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -456,6 +460,66 @@ def test_cli_surface(tmp_path, capsys):
         assert sorted(os.listdir(tmp_path)) == ["in.txt"], args
 
 
+def usage_cases():
+    """argv that argparse answers itself, at every level of the tree: help,
+    missing and unknown arguments, bad values and choices, abbreviations,
+    and an unknown subcommand, plus argv that parse."""
+    paths = [[]] + [path.split() for path in CLI_OPTIONS if path]
+    cases = [
+        path + tail
+        for path in paths
+        for tail in (["-h"], [], ["--nope"], ["bogus"], ["--k"], ["--k", "x"], ["--he"])
+    ]
+    return cases + [
+        ["-i"], ["--inp", "x", "truss"], ["-i", "truss", "stats"], ["stats", "-i", "x"],
+        ["truss", "--hist"], ["truncated-truss", "--k", "4"], ["bench", "--se", "2"],
+        ["verify", "truss", "--k", "3", "--format", "xml"], ["verify", "bounds", "--form", "json"],
+        ["generate", "suspend", "--k", "2", "--added", "3"], ["tru"], ["-vv", "Truss"],
+        ["truss", "--histogram", "extra"], ["-v", "-o", "x", "truss", "--histogram"],
+        ["generate", "critical", "--k", "4", "--n", "30"], ["verify", "critical", "--k", "3"],
+        ["bench", "--k-trunc", "2"], ["components", "--k=3"], ["truncated-truss", "--k-trunc", "2"],
+    ]
+
+
+def parse_outcome(parser, argv, capsys):
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    return outcome, capsys.readouterr()
+
+
+def test_path_only_parser_answers_as_the_whole_tree(capsys):
+    # main builds only the parsers that argv passes through; what argparse
+    # prints and the exit code are those of the whole tree, at every level
+    cases = usage_cases()
+    assert len(cases) == 145
+    for argv in cases:
+        want = parse_outcome(build_parser(), argv, capsys)
+        assert parse_outcome(build_parser(eager=False), argv, capsys) == want, argv
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [(["truss"], 2), (["generate", "critical", "--k", "4", "--n", "8"], 3), (["-h"], 1),
+     (["verify", "nope"], 2)],
+)
+def test_path_only_parser_builds_what_argv_reaches(monkeypatch, capsys, argv, built):
+    from trusskit import cli
+
+    made = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__", lambda self, *a, **k: made.append(init(self, *a, **k)))
+    try:
+        cli.build_parser(eager=False).parse_args(argv)
+    except SystemExit:
+        pass
+    assert len(made) == built
+    made.clear()
+    cli.build_parser()
+    assert len(made) == len(CLI_OPTIONS)
+
+
 def test_bench_reports_counters(tmp_path):
     code, out = run_cli(["bench"], tmp_path, k5_text())
     rows = dict(
@@ -600,6 +664,55 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 10
+
+
+# one command per exit code, 0 to 7: (argv, input file bytes, environment)
+EXIT_CASES = [
+    (["-i", "in.txt", "truss"], k5_text().encode(), {}),
+    (["-i", "in.txt", "verify", "truss", "--k", "9"], k5_text().encode(), {}),
+    (["-i", "in.txt", "truss", "--nope"], k5_text().encode(), {}),
+    (["-i", "in.txt", "stats"], b"\xff a\n", {}),
+    (["-i", "in.txt", "truss"], b"1 1\n", {}),
+    (["generate", "torus-critical", "--i", "0", "--t", "4", "--k", "3"], b"", {}),
+    (["-i", "in.txt", "truss"], k5_text().encode(), {"TRUSSKIT_MEM_CAP": "1000"}),
+    (["-i", "missing.txt", "truss"], b"", {}),
+]
+
+
+@pytest.mark.parametrize("case", range(len(EXIT_CASES)))
+def test_module_entry_matches_main(tmp_path, monkeypatch, capsysbinary, case):
+    # the process entry adds a heap freeze after main and nothing else:
+    # the same bytes on both streams and the same exit code, while main
+    # itself leaves the collector as it found it
+    args, text, env = EXIT_CASES[case]
+    (tmp_path / "in.txt").write_bytes(text)
+    args = [str(tmp_path / a) if a.endswith(".txt") else a for a in args]
+    proc = subprocess.run([sys.executable, "-m", "trusskit", *args], capture_output=True,
+                          env={**os.environ, **env})
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    frozen = gc.get_freeze_count()
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    assert gc.get_freeze_count() == frozen
+    assert proc.returncode == code == case
+    assert (proc.stdout, proc.stderr) == tuple(capsysbinary.readouterr())
+
+
+def test_console_script_calls_what_the_module_entry_calls(monkeypatch):
+    # pyproject's [project.scripts] target is the function that
+    # ``python -m trusskit`` runs, so the two entries cannot drift apart
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["trusskit"]
+    module, _, name = target.partition(":")
+    called = []
+    monkeypatch.setattr(importlib.import_module(module), name, lambda: called.append(name) or 0)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("trusskit", run_name="__main__")
+    assert (target, called, exc.value.code) == ("trusskit.cli:entry", ["entry"], 0)
 
 
 # runs ``python -m trusskit`` with the arguments after -c, then names the

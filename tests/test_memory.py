@@ -227,6 +227,24 @@ def test_count_only_peak_within_reservation(n):
     assert peak <= _footprint(G, 0), f"peak {peak} over the reservation {_footprint(G, 0)}"
 
 
+@pytest.mark.parametrize("n", [120, 200])
+def test_listing_peak_within_reservation_and_the_listing(n):
+    # counting for the peel adds each block's ids to the int64 counts in
+    # place, so past the fixed part it holds only the int32 listing: 12
+    # bytes per triangle and the array's over-allocation, a sixteenth.
+    # Counting the kept listing after the blocks cast its ids to int64
+    # first, 24 bytes more per triangle
+    G = from_edges(n, combinations(range(1, n + 1), 2))
+    tracemalloc.start()
+    try:
+        total = triangle_counts(G).total
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = _footprint(G, 0) + 13 * total
+    assert peak <= bound, f"peak {peak} over {bound}"
+
+
 def test_bound_report_peak_within_count_only_reservation():
     # the report counts each listing block into per-vertex slots and keeps
     # no triangle: K_120 has 280,840 of them, 12 bytes each as int32 rows.
