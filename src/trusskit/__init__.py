@@ -16,8 +16,8 @@ _PUBLIC = {
     "witness": ("WitnessConfig", "WitnessState", "EnumerationOutcome", "enumerate_residual",
                 "init_witness", "remove_edge", "truncated_decomposition"),
     "generators": ("ConstructionReceipt", "FaceEmbedding", "clique_chain",
-                   "clique_chain_remainder", "critical_2truss", "critical_truss", "gnp_random",
-                   "suspend", "suspension_ladder", "torus_embedding", "truss_from_embedding"),
+                   "clique_chain_remainder", "critical_2truss", "critical_truss", "suspend",
+                   "suspension_ladder", "torus_embedding", "truss_from_embedding"),
     "checks": ("BoundReport", "bound_report", "is_critical_k_truss", "is_k_truss"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}

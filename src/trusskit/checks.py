@@ -72,9 +72,6 @@ class BoundReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[BoundCheck]:
-        return [c for c in self.checks if not c.passed]
-
 
 def _edge_name(G: Graph, e: int) -> str:
     u, v = G.ends[e].tolist()
@@ -145,8 +142,8 @@ def _level_checks(G: Graph, tau: np.ndarray) -> dict[str, BoundCheck]:
     base = np.cumsum(span) - span  # vertex x counts level i's triangles at base[x] + i
     fresh = np.zeros(int(span.sum()), np.int64)
     on = np.flatnonzero(at >= 0)  # a triangle through any other edge is on no level
-    H, at_on = (G if len(on) == G.m else Graph(G.labels[1:], ends[on])), at[on]
-    for opposite, edges in _blocks(H):
+    sub, at_on = (ends if len(on) == G.m else ends[on]), at[on]  # the edges on a level
+    for opposite, edges in _blocks(sub, np.bincount(sub.ravel(), minlength=G.n + 1)):
         level = np.minimum(np.minimum(at_on[edges[:, 0]], at_on[edges[:, 1]]), at_on[edges[:, 2]])
         for x in opposite.T:
             np.add.at(fresh, base[x] + level, 1)

@@ -1,4 +1,4 @@
-"""Extremal truss constructions and random test graphs.
+"""Extremal truss constructions.
 
 Every generator returns a Graph whose vertex and edge counts were checked
 against closed-form expectations at build time; pass ``return_receipt=True``
@@ -18,7 +18,7 @@ import numpy as np
 from . import checks
 from .graphs import ConstructionError, Graph, InfeasibleError, ValidationError, from_edges
 from .peel import _hook
-from .triangles import triangle_counts
+from .triangles import _blocks, triangle_counts
 
 
 @dataclass
@@ -216,10 +216,6 @@ class FaceEmbedding:
     vertex_count: int
     faces: tuple[tuple[int, ...], ...]
 
-    @property
-    def girth_sum(self) -> int:
-        return sum(len(f) for f in self.faces)
-
     @cached_property
     def walks(self) -> tuple[np.ndarray, np.ndarray]:
         """Each face's length, and the face walks concatenated: integers only."""
@@ -228,10 +224,6 @@ class FaceEmbedding:
         for a in (lengths, walk):
             a.setflags(write=False)
         return lengths, walk
-
-    def edge_set(self) -> list[tuple[int, int]]:
-        """The skeleton's edges (u, v), u < v, sorted."""
-        return [tuple(p) for p in _skeleton(self.vertex_count, *self.walks).tolist()]
 
     def problem(self, strict: bool = False) -> str | None:
         """The first invariant the embedding breaks, in ``validate``'s
@@ -307,7 +299,8 @@ def _problem(h: int, lengths: np.ndarray, walk: np.ndarray, strict: bool) -> str
         return "skeleton is disconnected"
     if not strict:
         return None
-    if triangle_counts(from_edges(h, np.stack([u, v], axis=1)), keep_listing=False).total:
+    # count[v], v's corners on the faces, is its skeleton degree; any() stops at a triangle
+    if any(len(edges) for _, edges in _blocks(np.stack([u, v], axis=1), count, vertices=False)):
         return "skeleton has a triangle"
     # per skeleton edge (u, v), the faces of u that v is on too: its own
     # two, and any other face it is a chord of
@@ -412,7 +405,7 @@ def truss_from_embedding(emb: FaceEmbedding, k: int, return_receipt: bool = Fals
     if k < 3:
         raise ValidationError("truss_from_embedding needs k >= 3")
     emb.validate()
-    r, g = len(emb.faces), emb.girth_sum
+    r, g = len(emb.faces), len(emb.walks[1])
     n = r * (k - 2) + g // 2
     m = r * (k - 1) * (k - 2) // 2 + (2 * (k - 1) + 1) * g // 2
     graph = from_edges(n, _face_truss_pairs(emb.vertex_count, *emb.walks, k))
@@ -477,20 +470,3 @@ def critical_truss(k: int, n: int, return_receipt: bool = False):
     )
     return (g, receipt) if return_receipt else g
 
-
-# -- random graphs ------------------------------------------------------------
-
-
-def gnp_random(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi G(n, p) with deterministic seeding; isolated vertices
-    are kept so n is exact."""
-    if n < 1 or not (0.0 <= p <= 1.0):
-        raise ValidationError("need n >= 1 and p in [0, 1]")
-    rng = np.random.default_rng(seed)
-    pairs = []
-    # row u draws for the pairs (u, u+1..n): consecutive draws continue
-    # one stream, so this equals one draw over all pairs in row order
-    for u in range(1, n):
-        keep = np.flatnonzero(rng.random(n - u) < p) + (u + 1)
-        pairs.extend((u, v) for v in keep.tolist())
-    return from_edges(n, pairs)

@@ -99,15 +99,14 @@ class Graph:
 
     ``ends[e]`` is the endpoint pair (u, v), u < v, of the dense edge id e
     in [0, m), in input order, ``degrees[v]`` the degree of v (slot 0
-    unused) and ``pair_order`` the edge ids sorted by endpoint pair, whose
-    keys ``edge_id`` and ``edge_ids`` search. ``csr``, built on first use,
-    is ``(indptr, nbr, slot_edge)``: the neighbours of v, ascending, are
-    ``nbr[indptr[v]:indptr[v + 1]]``, and slot s is edge ``slot_edge[s]``.
-    Every array is read-only, so a Graph is safe to share across
-    concurrent workers.
+    unused) and ``pair_order`` the edge ids sorted by endpoint pair.
+    ``csr``, built on first use, is ``(indptr, nbr, slot_edge)``: the
+    neighbours of v, ascending, are ``nbr[indptr[v]:indptr[v + 1]]``, and
+    slot s is edge ``slot_edge[s]``. Every array is read-only, so a Graph
+    is safe to share across concurrent workers.
     """
 
-    __slots__ = ("n", "m", "labels", "ends", "degrees", "pair_order", "_keys", "_csr")
+    __slots__ = ("n", "m", "labels", "ends", "degrees", "pair_order", "_csr")
 
     def __init__(self, labels: Sequence[str], pairs: Iterable[tuple[int, int]] | np.ndarray):
         n = len(labels)
@@ -132,8 +131,8 @@ class Graph:
         self.labels = ("", *map(str, labels))
         self.ends = np.stack([lo, hi], axis=1)
         self.degrees = np.bincount(self.ends.ravel(), minlength=n + 1)
-        self.pair_order, self._keys, self._csr = order, keys, None
-        for a in (self.ends, self.degrees, order, keys):
+        self.pair_order, self._csr = order, None
+        for a in (self.ends, self.degrees, order):
             a.setflags(write=False)
 
     # -- basic accessors ------------------------------------------------
@@ -154,20 +153,6 @@ class Graph:
                 a.setflags(write=False)
         return self._csr
 
-    def edge_ids(self, u, v) -> np.ndarray:
-        """Edge ids of the pairs (u, v), -1 where absent: u and v are vertex
-        ids in 1..n, or int arrays of them, broadcast together."""
-        keys = np.minimum(u, v) * (self.n + 1) + np.maximum(u, v)
-        if not self.m:
-            return np.full(np.shape(keys), -1)
-        at = np.minimum(np.searchsorted(self._keys, keys), self.m - 1)
-        return np.where(self._keys[at] == keys, self.pair_order[at], -1)
-
-    def edge_id(self, u: int, v: int) -> int | None:
-        """Dense edge id for the unordered pair, or None if absent."""
-        e = int(self.edge_ids(u, v)) if 1 <= u <= self.n and 1 <= v <= self.n else -1
-        return None if e < 0 else e
-
     def serialize(self) -> str:
         """Edge-list text, one "u v" line per edge sorted by (min, max) id."""
         head, tail = [s + " " for s in self.labels], [s + "\n" for s in self.labels]
@@ -177,7 +162,8 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.labels == other.labels and np.array_equal(self._keys, other._keys)
+        return self.labels == other.labels and np.array_equal(
+            self.ends[self.pair_order], other.ends[other.pair_order])
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -288,7 +274,7 @@ def _walk_lines(text: str | bytes) -> Graph:
             raise ParseError(f"byte 0x{data[at]:02x} is not UTF-8",
                              len((data[:at].decode() + "x").splitlines())) from None
     ids: dict[str, int] = {}
-    edge_ids: dict[tuple[int, int], int] = {}
+    pairs: dict[tuple[int, int], int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
@@ -301,8 +287,8 @@ def _walk_lines(text: str | bytes) -> Graph:
         u = ids.setdefault(a, len(ids) + 1)
         v = ids.setdefault(b, len(ids) + 1)
         key = (u, v) if u < v else (v, u)
-        if key in edge_ids:
+        if key in pairs:
             raise ValidationError(f"line {line_no}: duplicate edge {a!r} {b!r}")
-        edge_ids[key] = len(edge_ids)
-    return Graph(list(ids), edge_ids)
+        pairs[key] = len(pairs)
+    return Graph(list(ids), pairs)
 

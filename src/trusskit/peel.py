@@ -52,12 +52,6 @@ class TrussLabels:
     tau: np.ndarray
     truncated_at: int | None = None
 
-    @property
-    def exact(self) -> list[bool]:
-        """Per edge, whether ``tau[e]`` is exact rather than a lower bound."""
-        k = self.truncated_at
-        return [True] * len(self.tau) if k is None else (self.tau < k).tolist()
-
     def histogram(self) -> dict[int, int]:
         """Exact-tau value -> edge count (lower-bound edges keyed by bound)."""
         counts = np.bincount(self.tau)

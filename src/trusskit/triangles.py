@@ -112,18 +112,19 @@ def _reserve(G: Graph, kept: int) -> int:
     return need
 
 
-def _blocks(G: Graph, vertices: bool = True) -> Iterator[tuple[np.ndarray | None, np.ndarray]]:
-    """Yield ``(opposite, edges)`` per wedge block, int64 (t, 3) arrays:
+def _blocks(ends: np.ndarray, degrees: np.ndarray, vertices: bool = True) -> Iterator[tuple]:
+    """Yield ``(opposite, edges)`` per wedge block of the graph of ``ends``
+    and ``degrees``, as a Graph holds them, int64 (t, 3) arrays:
     ``edges`` holds each closed triangle's edge ids and ``opposite``,
     column for column, the vertex opposite each, or None unless
     ``vertices``. Callers check the cap."""
-    n1, m = G.n + 1, G.m
+    n1, m = len(degrees), len(ends)
     if m == 0:
         return
-    by_rank = stable_order(G.degrees, n1)
+    by_rank = stable_order(degrees, n1)
     rank = np.empty(n1, np.int64)
     rank[by_rank] = np.arange(n1)  # position in (degree, id) order
-    u, v = rank[G.ends[:, 0]], rank[G.ends[:, 1]]
+    u, v = rank[ends[:, 0]], rank[ends[:, 1]]
     keys = np.minimum(u, v) * n1 + np.maximum(u, v)  # edge (lo, hi) in rank order
     del u, v
     eid = stable_order(keys, n1 * n1)  # edge ids in (src, dst) order: the out-CSR
@@ -206,7 +207,7 @@ def triangle_vertices(G: Graph) -> np.ndarray:
     cap; the array holds well under the estimate's bytes per triangle."""
     _reserve(G, 0)
     kept, total = [], 0
-    for vertices, _ in _blocks(G):
+    for vertices, _ in _blocks(G.ends, G.degrees):
         total += len(vertices)
         _reserve(G, total)
         vertices.sort(axis=1)
@@ -224,7 +225,7 @@ def triangle_counts(G: Graph, *, keep_listing: bool = True) -> TriangleCounts:
     listing = array("i") if keep_listing else None
     per_edge = np.zeros(G.m, dtype=np.int64)
     total = 0
-    for _, edges in _blocks(G, vertices=False):
+    for _, edges in _blocks(G.ends, G.degrees, vertices=False):
         total += len(edges)
         if listing is not None:
             need = _reserve(G, total)
@@ -235,15 +236,9 @@ def triangle_counts(G: Graph, *, keep_listing: bool = True) -> TriangleCounts:
 
 def out_wedges(G: Graph) -> int:
     """Out-wedges of the forward scheme, which bound its triangles: pairs
-    of edges leaving one vertex, each edge leaving its ``ordered_endpoints``
-    scan side."""
+    of edges leaving one vertex, each edge leaving its smaller-degree
+    endpoint, ties the smaller id."""
     d, (u, v) = G.degrees, G.ends.T  # u < v, so ties leave u
     out = np.bincount(np.where(d[u] <= d[v], u, v), minlength=G.n + 1)
     return int((out * (out - 1) // 2).sum())
 
-
-def ordered_endpoints(G: Graph, e: int) -> tuple[int, int]:
-    """Edge endpoints with the scan side first: the smaller-degree
-    endpoint, ties broken toward the smaller id."""
-    u, v = G.ends[e].tolist()  # u < v, so ties keep u first
-    return (u, v) if G.degrees[u] <= G.degrees[v] else (v, u)

@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import Graph, ValidationError
 from .peel import REMOVED, TrussLabels, _check_k_trunc, _peel
-from .triangles import MEM_CAP_ENV, ResourceLimitError, mem_cap, ordered_endpoints, out_wedges
+from .triangles import MEM_CAP_ENV, ResourceLimitError, mem_cap, out_wedges
 from .triangles import _WEDGE_BLOCK, _blocks, _footprint as _listing_footprint
 
 DEFAULT_SEED = 1729
@@ -60,9 +60,7 @@ class WitnessConfig:
     1/k_trunc; the log is natural, which is what makes the miss
     probability per vertex polynomially small. ``b`` steers the
     heavy/light degree split of matrix-mode initialization and defaults
-    to max(a, 2/3) with a = log_m(k_trunc). ``mem_cap_bytes`` defaults to
-    ``triangles.mem_cap()`` when the config is made, so one budget holds
-    initialization and the triangle listing alike.
+    to max(a, 2/3) with a = log_m(k_trunc).
     """
 
     k_trunc: int
@@ -71,7 +69,6 @@ class WitnessConfig:
     prob: float | None = None
     b: float | None = None
     init_mode: str = "direct"
-    mem_cap_bytes: int = field(default_factory=mem_cap)
 
 
 @dataclass
@@ -101,7 +98,7 @@ class WitnessState:
         self.S = S  # (m, L) int64
         self.delta = delta  # (m,) int64, REMOVED sentinel
         self.mem_estimate = mem_estimate  # bytes; upper bound on init's peak
-        self.adj = tuple(a.tolist() for a in G.csr)  # G's CSR as lists
+        self.adj = tuple(map(memoryview, G.csr))  # G's CSR, read as Python ints
         self.enumeration_calls = 0
         self.fallback_calls = 0
 
@@ -138,7 +135,7 @@ def _footprint(G: Graph, L: int, heavy: np.ndarray | None) -> int:
     memberships (9L at q = 1; the float64 draw, taken in row blocks of
     about _DRAW_BLOCK values and so never over 8L per vertex, is freed
     before the ids exist) and small arrays; per edge the table row and
-    count, and G's CSR with the lists of it that enumeration searches;
+    count, and G's CSR, which enumeration searches;
     the triangle listing, keeping no triangles, and a chunk of
     _INIT_CHUNK pairs, each with index bookkeeping and, per set holding
     its witness, six int64 temporaries. A chunk holds no more pairs than
@@ -170,8 +167,9 @@ def init_witness(G: Graph, cfg: WitnessConfig, _xmat=None) -> WitnessState:
     products on the heavy x heavy block. Both produce identical tables.
 
     Raises ResourceLimitError, before allocating, when the ``_footprint``
-    estimate (all of init, not just the table) exceeds
-    ``cfg.mem_cap_bytes`` or matrix products exceed ``_MATRIX_MULADDS``;
+    estimate (all of init, not just the table) exceeds ``mem_cap()``, the
+    budget of the triangle listing too, or matrix products exceed
+    ``_MATRIX_MULADDS``;
     the state keeps the footprint as ``mem_estimate``. ``_xmat`` injects
     explicit membership for tests.
     """
@@ -188,12 +186,12 @@ def init_witness(G: Graph, cfg: WitnessConfig, _xmat=None) -> WitnessState:
                 f"over the {_MATRIX_MULADDS} ceiling; lower WitnessConfig.b "
                 "or use init_mode='direct'"
             )
-    needed = _footprint(G, L, heavy)
-    if needed > cfg.mem_cap_bytes:
+    needed, cap = _footprint(G, L, heavy), mem_cap()
+    if needed > cap:
         raise ResourceLimitError(
             f"witness init needs ~{needed} bytes ({m} edges x {L} sets, "
-            f"{cfg.init_mode} init), over the {cfg.mem_cap_bytes}-byte cap; "
-            f"raise WitnessConfig.mem_cap_bytes or {MEM_CAP_ENV}, or lower k_trunc or sets"
+            f"{cfg.init_mode} init), over the {cap}-byte cap; "
+            f"raise {MEM_CAP_ENV}, or lower k_trunc or sets"
         )
     if _xmat is not None:
         xmat = np.asarray(_xmat, dtype=bool)
@@ -218,7 +216,7 @@ def init_witness(G: Graph, cfg: WitnessConfig, _xmat=None) -> WitnessState:
     np.cumsum(np.count_nonzero(xmat, axis=1), out=indptr[1:])
     S = np.zeros((m, L), dtype=np.int64)
     delta = np.zeros(m, dtype=np.int64)
-    for opposite, edges in _blocks(G):
+    for opposite, edges in _blocks(G.ends, G.degrees):
         if heavy is not None:
             x, y, z = heavy[opposite].T
             light = ~(x & y & z)
@@ -304,8 +302,8 @@ def enumerate_residual(state: WitnessState, e: int) -> EnumerationOutcome:
                 break
     if len(witnesses) < target:
         state.fallback_calls += 1
-        a, b = ordered_endpoints(G, e)
-        flip = a != u
+        flip = G.degrees[u] > G.degrees[v]  # scan from the smaller-degree end, u on a tie
+        a, b = (v, u) if flip else (u, v)
         witnesses, edges = [], []
         ptr, nbr, slot = adj
         for w, f1 in zip(nbr[ptr[a] : ptr[a + 1]], slot[ptr[a] : ptr[a + 1]]):

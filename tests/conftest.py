@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import settings
 
-from trusskit import gnp_random
 from trusskit.peel import instrumented_truss_decomposition
+
+from .strategies import gnp_random
 
 settings.register_profile("suite", deadline=None, max_examples=40)
 settings.load_profile("suite")

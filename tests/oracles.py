@@ -15,7 +15,10 @@ writers. None of them calls the code path it checks. The expensive ones
 refuse inputs past their caps, raising ``CapExceeded`` or failing an
 assertion, rather than hang.
 ``vertex_counts`` is no reference: it reads per-vertex counts off the
-production listing, as the library keeps none.
+production listing, as the library keeps none. ``edge_id``,
+``ordered_endpoints``, ``exact``, ``failures``, ``skeleton_edges`` and
+``girth_sum`` read graphs, labels, reports and embeddings for the tests,
+which were the only readers of the package methods they replace.
 """
 
 from collections import namedtuple
@@ -75,6 +78,28 @@ def edge_index(G):
     for e, (u, v) in enumerate(G.ends.tolist()):
         ids[u, v] = ids[v, u] = e
     return ids
+
+
+def edge_id(G, u, v):
+    """Id of the edge (u, v), in either order, or None if G has none."""
+    return edge_index(G).get((u, v))
+
+
+def ordered_endpoints(G, e):
+    """Edge e's ends, the smaller-degree one first, the smaller id on a tie."""
+    u, v = G.ends[e].tolist()
+    return (u, v) if G.degrees[u] <= G.degrees[v] else (v, u)
+
+
+def exact(labels):
+    """Per edge, whether its label is exact rather than the lower bound."""
+    k = labels.truncated_at
+    return [k is None or t < k for t in labels.tau.tolist()]
+
+
+def failures(report):
+    """The checks of a bound report that failed."""
+    return [c for c in report.checks if not c.passed]
 
 
 def scratch_witness_table(state):
@@ -539,6 +564,18 @@ def eager_torus_candidates(i, t):
                 left, right = left + p, right + q
             assert sorted(map(len, faces)) == sorted(p + q + 2 for p, q in heights)
             yield tuple(faces), offset
+
+
+def skeleton_edges(emb):
+    """An embedding's skeleton edges (u, v), u < v, sorted, read off the
+    consecutive vertices of its face tuples."""
+    steps = (zip(f, f[1:] + f[:1]) for f in emb.faces)
+    return sorted({(min(a, b), max(a, b)) for step in steps for a, b in step})
+
+
+def girth_sum(emb):
+    """The total length of an embedding's faces."""
+    return sum(map(len, emb.faces))
 
 
 def _torus_faces_valid(faces, h, strict):

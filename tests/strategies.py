@@ -1,10 +1,26 @@
-"""Hypothesis strategies for small graphs."""
+"""Hypothesis strategies for small graphs, and seeded random graphs."""
 
 from itertools import combinations
 
+import numpy as np
 from hypothesis import strategies as st
 
-from trusskit import from_edges
+from trusskit import ValidationError, from_edges
+
+
+def gnp_random(n: int, p: float, seed: int):
+    """Erdos-Renyi G(n, p) with deterministic seeding; isolated vertices
+    are kept so n is exact."""
+    if n < 1 or not (0.0 <= p <= 1.0):
+        raise ValidationError("need n >= 1 and p in [0, 1]")
+    rng = np.random.default_rng(seed)
+    pairs = []
+    # row u draws for the pairs (u, u+1..n): consecutive draws continue
+    # one stream, so this equals one draw over all pairs in row order
+    for u in range(1, n):
+        keep = np.flatnonzero(rng.random(n - u) < p) + (u + 1)
+        pairs.extend((u, v) for v in keep.tolist())
+    return from_edges(n, pairs)
 
 
 @st.composite

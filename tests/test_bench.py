@@ -2,11 +2,12 @@
 
 from itertools import combinations
 
-from trusskit import WitnessConfig, from_edges, gnp_random, init_witness
+from trusskit import WitnessConfig, from_edges, init_witness
 from trusskit.peel import instrumented_truss_decomposition
 from trusskit.witness import run_rounds
 
 from .oracles import min_degree_sum
+from .strategies import gnp_random
 
 
 def complete(n):

@@ -21,7 +21,6 @@ from trusskit import (
     clique_chain,
     critical_truss,
     from_edges,
-    gnp_random,
     init_witness,
     k_truss_components,
     parse_edge_list,
@@ -47,10 +46,12 @@ from .oracles import (
     adjacency,
     brute_force_triangles,
     edge_rows_text,
+    exact,
     serialized_text,
     triangle_rows_text,
     triple_scan_triangles,
 )
+from .strategies import gnp_random
 from .test_graphs import PARSE_ERRORS
 from .test_witness import skewed
 
@@ -148,7 +149,7 @@ TRUNC_GRAPHS = {
 def truncated_rows(g, labels):
     """The rows ``truncated-truss`` writes for ``labels``."""
     mark = ("lower_bound", "exact")
-    return edge_rows_text(g, [f"{t}\t{mark[x]}" for t, x in zip(labels.tau, labels.exact)])
+    return edge_rows_text(g, [f"{t}\t{mark[x]}" for t, x in zip(labels.tau, exact(labels))])
 
 
 @pytest.mark.parametrize("name", sorted(TRUNC_GRAPHS))
@@ -216,7 +217,7 @@ def test_dense_truncated_refused_where_the_witness_fits(tmp_path, monkeypatch, c
     assert f"{cap}-byte cap" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["in.txt"]
     labels = truncated_decomposition(g, WitnessConfig(k_trunc))
-    assert labels.tau.tolist() == [k_trunc] * g.m and not any(labels.exact)
+    assert labels.tau.tolist() == [k_trunc] * g.m and not any(exact(labels))
 
 
 WRITER_GRAPHS = {
@@ -543,15 +544,13 @@ def test_mem_cap_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("TRUSSKIT_MEM_CAP", "64")
     code, _ = run_cli(["truncated-truss", "--k-trunc", "2"], tmp_path, k5_text())
     assert code == EXIT_RESOURCE
-    # an explicit cap beats the environment
+    # the library's cap reads the same environment
     g = parse_edge_list(k5_text())
-    assert truncated_decomposition(g, WitnessConfig(k_trunc=2, mem_cap_bytes=2**30)).tau.tolist()
-    # the library's default cap reads the same environment
     with pytest.raises(ResourceLimitError, match="64-byte cap"):
         truncated_decomposition(g, WitnessConfig(k_trunc=2))
 
 
-def test_mem_cap_covers_more_than_the_table():
+def test_mem_cap_covers_more_than_the_table(monkeypatch):
     g = gnp_random(60, 0.3, seed=5)
     tracemalloc.start()
     try:
@@ -562,8 +561,9 @@ def test_mem_cap_covers_more_than_the_table():
     table_only = g.m * state.L * 8 + (g.n + 1) * state.L
     cap = (table_only + peak) // 2
     assert table_only < cap < peak
+    monkeypatch.setenv("TRUSSKIT_MEM_CAP", str(cap))
     with pytest.raises(ResourceLimitError, match=f"{cap}-byte cap"):
-        truncated_decomposition(g, WitnessConfig(k_trunc=3, mem_cap_bytes=cap))
+        truncated_decomposition(g, WitnessConfig(k_trunc=3))
 
 
 # commands that read only the triangle counts keep no listing, so K_30
@@ -781,7 +781,7 @@ EXPORTS = {
     "witness": "WitnessConfig WitnessState EnumerationOutcome ResourceLimitError "
                "enumerate_residual init_witness remove_edge truncated_decomposition",
     "generators": "ConstructionReceipt FaceEmbedding InfeasibleError clique_chain "
-                  "clique_chain_remainder critical_2truss critical_truss gnp_random suspend "
+                  "clique_chain_remainder critical_2truss critical_truss suspend "
                   "suspension_ladder torus_embedding truss_from_embedding",
     "checks": "BoundReport bound_report is_critical_k_truss is_k_truss",
 }

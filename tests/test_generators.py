@@ -14,7 +14,6 @@ from trusskit import (
     critical_2truss,
     critical_truss,
     from_edges,
-    gnp_random,
     is_critical_k_truss,
     is_k_truss,
     suspend,
@@ -32,12 +31,15 @@ from .oracles import (
     eager_torus_candidates,
     eager_torus_search,
     edge_pairs,
+    girth_sum,
     induced_by_vertices,
+    skeleton_edges,
     tuple_2truss_pairs,
     tuple_chain_pairs,
     tuple_truss_pairs,
     vertex_counts,
 )
+from .strategies import gnp_random
 
 
 def complete(n):
@@ -234,17 +236,17 @@ def test_suspension_ladder_bound():
 def test_embedding_six_squares():
     emb = torus_embedding(6, 4)
     assert emb.vertex_count == 8
-    assert len(emb.edge_set()) == 16
+    assert len(skeleton_edges(emb)) == 16
     assert sorted(len(f) for f in emb.faces) == [4] * 8
-    assert emb.girth_sum == 32
+    assert girth_sum(emb) == 32
 
 
 def test_embedding_mixed_faces():
     emb = torus_embedding(4, 6)
     assert emb.vertex_count == 8
-    assert len(emb.edge_set()) == 14
+    assert len(skeleton_edges(emb)) == 14
     assert sorted(len(f) for f in emb.faces) == [4, 4, 4, 4, 6, 6]
-    assert emb.girth_sum == 28
+    assert girth_sum(emb) == 28
 
 
 def test_embedding_every_edge_two_distinct_faces():
@@ -255,7 +257,7 @@ def test_embedding_every_edge_two_distinct_faces():
         for idx, walk in enumerate(emb.faces):
             for u, v in zip(walk, walk[1:] + walk[:1]):
                 on_faces.setdefault((min(u, v), max(u, v)), []).append(idx)
-        assert sorted(on_faces) == emb.edge_set()
+        assert sorted(on_faces) == skeleton_edges(emb)
         for faces in on_faces.values():
             assert len(faces) == 2 and faces[0] != faces[1]
 
@@ -402,7 +404,7 @@ def test_truss_from_embedding_triangle_classes():
     g = truss_from_embedding(emb, k)
     tc = triangle_counts(g)
     h = emb.vertex_count
-    skeleton = set(emb.edge_set())
+    skeleton = set(skeleton_edges(emb))
     for e, (u, v) in enumerate(edge_pairs(g)):
         if (u, v) in skeleton:
             assert tc.per_edge[e] >= 2 * k - 2

@@ -27,7 +27,7 @@ from trusskit.graphs import (
     text_rows,
 )
 
-from .oracles import adjacency, edge_pairs, induced_by_edges, induced_by_vertices
+from .oracles import adjacency, edge_id, edge_pairs, induced_by_edges, induced_by_vertices
 from .strategies import edge_texts, small_graphs
 
 
@@ -240,7 +240,7 @@ def test_induced_vertices_unknown_id():
 
 def test_induced_edges_triangle_of_k4():
     k4 = complete(4)
-    tri = [k4.edge_id(1, 2), k4.edge_id(1, 3), k4.edge_id(2, 3)]
+    tri = [edge_id(k4, 1, 2), edge_id(k4, 1, 3), edge_id(k4, 2, 3)]
     sub = induced_by_edges(k4, tri)
     assert (sub.n, sub.m) == (3, 3)
 
@@ -252,7 +252,7 @@ def test_induced_edges_empty():
 
 def test_induced_edges_bowtie_triangle():
     g = bowtie()
-    tri = [g.edge_id(1, 2), g.edge_id(1, 3), g.edge_id(2, 3)]
+    tri = [edge_id(g, 1, 2), edge_id(g, 1, 3), edge_id(g, 2, 3)]
     sub = induced_by_edges(g, tri)
     assert (sub.n, sub.m) == (3, 3)
     assert sorted(sub.labels[1:]) == ["1", "2", "3"]

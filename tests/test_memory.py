@@ -29,15 +29,17 @@ from trusskit import (
 from trusskit.cli import EXIT_OK, EXIT_VERIFY_FAILED, _write_edge_rows, main
 from trusskit.triangles import _footprint
 
+from .oracles import adjacency
+
 BYTES_PER_EDGE = 2048
 # parsing holds the text's tokens, one label map and the Graph's arrays,
 # and nothing else per edge
 PARSE_BYTES_PER_EDGE = 320
-# a parsed Graph keeps its edge ends, pair keys and pair order, 32 bytes
-# per edge, and per vertex a label and a degree: 55-60 bytes per edge on
-# the graphs below. One Python tuple per edge would take 64 more, and so
-# would the CSR, built only on first use
-RETAINED_BYTES_PER_EDGE = 72
+# a parsed Graph keeps its edge ends and pair order, 24 bytes per edge,
+# and per vertex a label and a degree: 47-52 bytes per edge on the graphs
+# below. One Python tuple per edge would take 64 more, and so would the
+# CSR, built only on first use
+RETAINED_BYTES_PER_EDGE = 54
 # the row writer holds per vertex its label tables, as strings and encoded
 # once each, and per piece of rows their index columns and bytes, whatever m is
 WRITER_BYTES_PER_VERTEX = 200
@@ -189,8 +191,7 @@ def test_parsed_graph_retained_within_bytes_per_edge(graphs, graph):
 
 @pytest.mark.parametrize("build", ["parse_edge_list", "from_edges"])
 def test_edge_index_agrees_with_ends(build):
-    # pair lookups, single and batched, and the CSR all read the one
-    # edge-end array
+    # the CSR reads the one edge-end array
     pairs = [(v, u) if (u + v) % 2 else (u, v) for u, v in combinations(range(1, 9), 2)]
     pairs = [p for p in pairs if sum(p) % 5]
     if build == "from_edges":
@@ -198,18 +199,12 @@ def test_edge_index_agrees_with_ends(build):
     else:
         G = parse_edge_list("".join(f"{u} {v}\n" for u, v in pairs))
     assert G.ends.shape == (G.m, 2) and G.m == len(pairs) == 22
-    for e, (u, v) in enumerate(G.ends.tolist()):
-        assert u < v and G.edge_id(u, v) == G.edge_id(v, u) == e
-    absent = [(u, v) for u, v in combinations(G.vertices, 2) if [u, v] not in G.ends.tolist()]
-    assert len(absent) == 6 and all(G.edge_id(u, v) is None for u, v in absent)
-    assert G.edge_id(1, 1) is G.edge_id(0, 1) is G.edge_id(1, 9) is None
-    us, vs = np.array(list(combinations(G.vertices, 2))).T
-    want = [-1 if (u, v) in absent else G.edge_id(u, v) for u, v in zip(us, vs)]
-    assert G.edge_ids(vs, us).tolist() == want
+    assert all(u < v for u, v in G.ends.tolist())
+    nbrs = adjacency(G)
     indptr, nbr, slot_edge = G.csr
     for v in G.vertices:
         slots = range(indptr[v], indptr[v + 1])
-        assert [nbr[s] for s in slots] == sorted(w for w in G.vertices if G.edge_id(v, w) is not None)
+        assert [nbr[s] for s in slots] == sorted(nbrs[v])
         assert all(sorted(G.ends[slot_edge[s]]) == sorted((v, nbr[s])) for s in slots)
 
 

@@ -13,7 +13,6 @@ from trusskit import (
     ValidationError,
     clique_chain,
     from_edges,
-    gnp_random,
     is_k_truss,
     k_truss_components,
     triangle_counts,
@@ -26,7 +25,9 @@ from .oracles import (
     adjacency,
     disjoint_union,
     edge_components,
+    edge_id,
     edge_pairs,
+    exact,
     min_degree_degeneracy,
     min_degree_sum,
     assert_invariants,
@@ -34,7 +35,7 @@ from .oracles import (
     oracle_truss_decomposition,
     peel_to_fixed_point,
 )
-from .strategies import small_graphs
+from .strategies import gnp_random, small_graphs
 from .test_checks import cycle_join
 
 
@@ -70,7 +71,7 @@ def test_labels_are_int64_arrays(g):
 
 def test_full_labels_are_exact():
     labels = truss_decomposition(complete(4))
-    assert all(labels.exact) and labels.truncated_at is None
+    assert all(exact(labels)) and labels.truncated_at is None
 
 
 def test_oracle_equivalence_random():
@@ -157,7 +158,7 @@ def test_max_k_truss_pendant():
     g = from_edges(5, list(combinations(range(1, 5), 2)) + [(4, 5)])
     kept = peel_to_fixed_point(g, 2)
     assert len(kept) == 6
-    assert g.edge_id(4, 5) not in kept
+    assert edge_id(g, 4, 5) not in kept
 
 
 @given(small_graphs())
@@ -288,7 +289,7 @@ def test_stopped_peel_equals_clamped_labels(G):
     for k_trunc in range(1, _truncation_cap(G.m) + 1):
         labels, stats = instrumented_truss_decomposition(G, k_trunc=k_trunc)
         assert labels.tau.tolist() == [min(t, k_trunc) for t in full]
-        assert labels.exact == [t < k_trunc for t in full]
+        assert exact(labels) == [t < k_trunc for t in full]
         assert labels.truncated_at == k_trunc
         assert stats.removal_steps <= total
 
@@ -301,6 +302,6 @@ def test_stopped_peel_k_trunc_checks():
         with pytest.raises(ValidationError, match=re.escape(message)):
             truss_decomposition(g, k_trunc=k_trunc)
     empty = truss_decomposition(from_edges(0, []), k_trunc=3)
-    assert (empty.tau.tolist(), empty.exact, empty.truncated_at) == ([], [], 3)
+    assert (empty.tau.tolist(), exact(empty), empty.truncated_at) == ([], [], 3)
     with pytest.raises(ValidationError, match="k_trunc must be positive"):
         truss_decomposition(from_edges(0, []), k_trunc=0)

@@ -10,21 +10,25 @@ from hypothesis import given
 
 from trusskit import (
     ResourceLimitError,
+    WitnessConfig,
+    enumerate_residual,
     from_edges,
-    gnp_random,
+    init_witness,
     triangle_counts,
 )
-from trusskit import triangles
-from trusskit.triangles import ordered_endpoints, out_wedges, triangle_vertices
+from trusskit import triangles, witness
+from trusskit.triangles import out_wedges, triangle_vertices
 
 from .oracles import (
     adjacency,
     brute_force_triangles,
+    edge_id,
     edge_index,
+    ordered_endpoints,
     triple_scan_triangles,
     vertex_counts,
 )
-from .strategies import small_graphs
+from .strategies import gnp_random, small_graphs
 from .test_checks import cycle_join
 from .test_witness import skewed
 
@@ -95,7 +99,7 @@ def test_enumeration_exactly_once(G):
     assert sorted(tris) == triple_scan_triangles(G)
     for u, v, w in tris:
         assert u < v < w
-        assert None not in (G.edge_id(u, v), G.edge_id(v, w), G.edge_id(u, w))
+        assert None not in (edge_id(G, u, v), edge_id(G, v, w), edge_id(G, u, w))
 
 
 @given(small_graphs())
@@ -107,10 +111,23 @@ def test_count_identities(G):
 
 @given(small_graphs(min_m=1))
 def test_scan_side_has_smaller_degree(G):
-    for e in range(G.m):
-        a, b = ordered_endpoints(G, e)
-        da, db = G.degrees[a], G.degrees[b]
-        assert da < db or (da == db and a < b)
+    # with no vertex in any set, every edge on a triangle takes the fallback
+    # scan, which walks its scan side's CSR row and searches the other's
+    state = init_witness(G, WitnessConfig(1, sets=1), _xmat=np.zeros((G.n + 1, 1), bool))
+    nbrs, searched, search = adjacency(G), [], witness._edge
+    witness._edge = lambda adj, x, w: searched.append(x) or search(adj, x, w)
+    try:
+        for e in range(G.m):
+            a, b = ordered_endpoints(G, e)
+            da, db = G.degrees[a], G.degrees[b]
+            assert da < db or (da == db and a < b)
+            del searched[:]
+            want = sorted(nbrs[a] & nbrs[b])
+            assert enumerate_residual(state, e).witnesses == want
+            # a's other neighbours are each searched for in b's row
+            assert searched == ([b] * (len(nbrs[a]) - 1) if want else [])
+    finally:
+        witness._edge = search
 
 
 def test_streaming_sink_not_required():

@@ -14,7 +14,6 @@ from trusskit import (
     WitnessConfig,
     enumerate_residual,
     from_edges,
-    gnp_random,
     init_witness,
     remove_edge,
     truncated_decomposition,
@@ -25,7 +24,8 @@ from trusskit.triangles import triangle_vertices
 from trusskit.peel import REMOVED, _truncation_cap
 from trusskit.witness import _DRAW_BLOCK, run_rounds
 
-from .oracles import residual_common_neighbors, scratch_witness_table
+from .oracles import edge_id, exact, residual_common_neighbors, scratch_witness_table
+from .strategies import gnp_random
 
 
 def complete(n):
@@ -60,10 +60,11 @@ def test_k_trunc_above_cap_rejected():
     init_witness(g, WitnessConfig(k_trunc=4))
 
 
-def test_memory_cap_refusal_mentions_sizes():
+def test_memory_cap_refusal_mentions_sizes(monkeypatch):
     g = complete(6)
+    monkeypatch.setenv("TRUSSKIT_MEM_CAP", "100")
     with pytest.raises(ResourceLimitError, match="cap"):
-        init_witness(g, WitnessConfig(k_trunc=2, mem_cap_bytes=100))
+        init_witness(g, WitnessConfig(k_trunc=2))
 
 
 @pytest.mark.parametrize("mode", ["direct", "matrix"])
@@ -77,7 +78,7 @@ def test_memory_cap_refusal_mentions_sizes():
     ],
     ids=["skewed", "K40", "star", "gnp"],
 )
-def test_init_peak_within_mem_estimate(g, mode):
+def test_init_peak_within_mem_estimate(g, mode, monkeypatch):
     for prob in (None, 1.0):  # q = 1 puts every vertex in every set
         tracemalloc.start()
         try:
@@ -88,14 +89,9 @@ def test_init_peak_within_mem_estimate(g, mode):
         finally:
             tracemalloc.stop()
         assert peak <= state.mem_estimate, prob
-        with pytest.raises(ResourceLimitError):
-            init_witness(
-                g,
-                WitnessConfig(
-                    k_trunc=3, prob=prob, init_mode=mode,
-                    mem_cap_bytes=state.mem_estimate - 1,
-                ),
-            )
+        with monkeypatch.context() as env, pytest.raises(ResourceLimitError):
+            env.setenv("TRUSSKIT_MEM_CAP", str(state.mem_estimate - 1))
+            init_witness(g, WitnessConfig(k_trunc=3, prob=prob, init_mode=mode))
 
 
 def test_bad_probability_rejected():
@@ -124,7 +120,7 @@ def test_single_witness_row_is_the_id():
     xmat = np.zeros((5, 1), dtype=bool)
     xmat[3, 0] = True  # X_1 = {3}
     state = init_witness(g, WitnessConfig(k_trunc=2, sets=1), _xmat=xmat)
-    e = g.edge_id(1, 2)
+    e = edge_id(g, 1, 2)
     assert state.S[e, 0] == 3
     assert state.delta[e] == 2
 
@@ -159,13 +155,14 @@ def test_matrix_init_muladd_ceiling(monkeypatch):
 
 def test_init_refusals_name_config_fields(monkeypatch):
     # the witness engine has no command-line flags, so its refusals name
-    # WitnessConfig fields
+    # WitnessConfig fields and the cap's environment variable
     g = gnp_random(30, 0.4, seed=1)
     monkeypatch.setattr(witness, "_MATRIX_MULADDS", 0)
+    monkeypatch.setenv("TRUSSKIT_MEM_CAP", "100")
     messages = []
     for cfg in (
         WitnessConfig(k_trunc=3, b=0.9, init_mode="matrix"),
-        WitnessConfig(k_trunc=3, mem_cap_bytes=100),
+        WitnessConfig(k_trunc=3),
     ):
         with pytest.raises(ResourceLimitError) as exc:
             init_witness(g, cfg)
@@ -222,7 +219,7 @@ def test_zero_row_iff_no_witness_in_set():
 def test_enumerate_k5_finds_all():
     g = complete(5)
     state = init_witness(g, WitnessConfig(k_trunc=3, seed=4))
-    e = g.edge_id(1, 2)
+    e = edge_id(g, 1, 2)
     out = enumerate_residual(state, e)
     assert sorted(out.witnesses) == [3, 4, 5]
 
@@ -250,7 +247,7 @@ def test_adversarial_sum_rejected_then_fallback():
     xmat = np.zeros((6, 1), dtype=bool)
     xmat[1, 0] = xmat[2, 0] = True
     state = init_witness(g, WitnessConfig(k_trunc=2, sets=1), _xmat=xmat)
-    e = g.edge_id(4, 5)
+    e = edge_id(g, 4, 5)
     assert state.S[e, 0] == 3
     out = enumerate_residual(state, e)
     assert (state.enumeration_calls, state.fallback_calls) == (1, 1)
@@ -268,7 +265,7 @@ def test_fallback_scan_alone_gives_clamped_labels():
             state = init_witness(g, WitnessConfig(k_trunc=k_trunc, sets=2), _xmat=empty)
             labels = run_rounds(state)
             assert labels.tau.tolist() == [min(t, k_trunc) for t in full]
-            assert labels.exact == [t < k_trunc for t in full]
+            assert exact(labels) == [t < k_trunc for t in full]
             assert state.fallback_calls > 0
 
 
@@ -297,8 +294,8 @@ def test_remove_in_triangle_zeroes_others():
 def test_remove_in_k4_count_drops():
     g = complete(4)
     state = init_witness(g, WitnessConfig(k_trunc=2, seed=3))
-    e = g.edge_id(1, 2)
-    opposite = g.edge_id(3, 4)
+    e = edge_id(g, 1, 2)
+    opposite = edge_id(g, 3, 4)
     remove_edge(state, e, enumerate_residual(state, e))
     for f in range(g.m):
         if f == e:
@@ -340,7 +337,7 @@ def test_incremental_table_matches_scratch():
 def test_k5_truncated_all_lower_bound():
     labels = truncated_decomposition(complete(5), WitnessConfig(k_trunc=2))
     assert labels.tau.tolist() == [2] * 10
-    assert labels.exact == [False] * 10
+    assert exact(labels) == [False] * 10
     assert labels.truncated_at == 2
 
 
@@ -354,7 +351,7 @@ def test_truncated_labels_are_int64_arrays():
 def test_bowtie_truncated_exact():
     labels = truncated_decomposition(bowtie(), WitnessConfig(k_trunc=3))
     assert labels.tau.tolist() == [1] * 6
-    assert labels.exact == [True] * 6
+    assert exact(labels) == [True] * 6
 
 
 def test_truncated_matches_clamped_peeler():
@@ -364,7 +361,7 @@ def test_truncated_matches_clamped_peeler():
         for k_trunc in (1, 2, 3, 5):
             labels = truncated_decomposition(g, WitnessConfig(k_trunc=k_trunc, seed=seed))
             assert labels.tau.tolist() == [min(t, k_trunc) for t in full]
-            assert labels.exact == [t < k_trunc for t in full]
+            assert exact(labels) == [t < k_trunc for t in full]
 
 
 def test_labels_independent_of_seed_and_mode():
@@ -375,14 +372,14 @@ def test_labels_independent_of_seed_and_mode():
             lab = truncated_decomposition(
                 g, WitnessConfig(k_trunc=3, seed=seed, init_mode=mode)
             )
-            assert lab.tau.tolist() == base.tau.tolist() and lab.exact == base.exact
+            assert lab.tau.tolist() == base.tau.tolist() and exact(lab) == exact(base)
 
 
 def test_instrumented_counts_calls():
     g = gnp_random(30, 0.4, seed=13)
     state = init_witness(g, WitnessConfig(k_trunc=3, seed=13))
     labels = run_rounds(state)
-    removed = sum(labels.exact)
-    zero_tau = sum(1 for t, ex in zip(labels.tau, labels.exact) if ex and t == 0)
+    removed = sum(exact(labels))
+    zero_tau = sum(1 for t, ex in zip(labels.tau, exact(labels)) if ex and t == 0)
     # every non-shortcut removal goes through one enumeration call
     assert state.enumeration_calls == removed - zero_tau
